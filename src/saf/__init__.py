@@ -27,6 +27,7 @@ from .geometry import (
     build_virtual_array,
     check_forbidden_zones,
     check_overlap,
+    element_conflicts,
     minkowski_sum,
     spacing_ecdf,
     thinning_ratio,
@@ -46,6 +47,7 @@ from .metrics import (
     measured_hpbw,
     min_axis_spacing,
     pslr,
+    scoring_grid,
     theoretical_beamwidths,
     ufov,
 )
@@ -61,6 +63,7 @@ from .optimizer import (
     outer_loop,
     propose_candidate,
     snap_to_grid,
+    target_fov,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

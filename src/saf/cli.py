@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import math
 import os
@@ -19,7 +18,6 @@ from pathlib import Path
 from . import __version__
 from .beamforming import Target
 from .io import (
-    SchemaError,
     load_design_config,
     load_layout,
     read_trace_summary,
@@ -31,9 +29,7 @@ from .io import (
     write_trace_jsonl,
 )
 from .metrics import evaluate_layout
-from .optimizer import InfeasibleSpecError, optimize, outer_loop
-
-log = logging.getLogger(__name__)
+from .optimizer import optimize, outer_loop, target_fov
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -91,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="U,V[,RE[,IM]]",
         help="far-field target (repeatable); default: unit broadside",
     )
-    evaluate.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     report = sub.add_parser("report", help="summarize an optimizer trace file")
     report.add_argument("--trace", required=True, type=Path, help="trace JSONL file")
@@ -99,100 +94,55 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_design(args) -> int:
-    try:
-        spec, outer = load_design_config(args.config)
-        raw_config = json.loads(args.config.read_text())
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-        raw_config["seed"] = args.seed
+    spec, outer, raw_config = load_design_config(args.config)
+    overrides = {} if args.seed is None else {"seed": args.seed}
     if args.grid_oversample is not None:
-        overrides["q_phi"] = args.grid_oversample
-        overrides["q_theta"] = args.grid_oversample
-        raw_config["q_phi"] = args.grid_oversample
-        raw_config["q_theta"] = args.grid_oversample
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
+        overrides.update(q_phi=args.grid_oversample, q_theta=args.grid_oversample)
+    spec = dataclasses.replace(spec, **overrides)
 
     started = _timestamp()
-    try:
-        if outer:
-            spec, layout, trace = outer_loop(spec, outer, threads=args.threads)
-        else:
-            layout, trace = optimize(spec)
-    except InfeasibleSpecError as exc:
-        print(f"error: infeasible design spec: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
-    su = math.sin(math.radians(spec.target_ufov_az))
-    sv = math.sin(math.radians(spec.target_ufov_el))
+    if outer:
+        spec, layout, trace = outer_loop(spec, outer, threads=args.threads)
+    else:
+        layout, trace = optimize(spec)
     pattern, report = evaluate_layout(
-        layout, q_phi=spec.q_phi, q_theta=spec.q_theta, fov=(-su, su, -sv, sv)
+        layout, q_phi=spec.q_phi, q_theta=spec.q_theta, fov=target_fov(spec)
     )
 
-    try:
-        args.out.mkdir(parents=True, exist_ok=True)
-        names = ["layout.json", "trace.jsonl", "metrics.json", "pattern.csv", "manifest.json"]
-        save_layout(layout, args.out / "layout.json", zones=spec.zones)
-        write_trace_jsonl(trace, args.out / "trace.jsonl", seed=spec.seed, k_max=spec.k_max)
-        write_metrics_json(report, args.out / "metrics.json")
-        write_pattern_csv(pattern, args.out / "pattern.csv")
-        write_manifest(
-            args.out / "manifest.json",
-            tool_version=__version__,
-            config_digest=spec_hash(raw_config),
-            seed=spec.seed,
-            started_at=started,
-            finished_at=_timestamp(),
-            outputs=names,
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    args.out.mkdir(parents=True, exist_ok=True)
+    names = ["layout.json", "trace.jsonl", "metrics.json", "pattern.csv", "manifest.json"]
+    save_layout(layout, args.out / "layout.json", zones=spec.zones)
+    write_trace_jsonl(trace, args.out / "trace.jsonl", seed=spec.seed, k_max=spec.k_max)
+    write_metrics_json(report, args.out / "metrics.json")
+    write_pattern_csv(pattern, args.out / "pattern.csv")
+    write_manifest(
+        args.out / "manifest.json",
+        tool_version=__version__,
+        config_digest=spec_hash({**raw_config, **overrides}),
+        seed=spec.seed,
+        started_at=started,
+        finished_at=_timestamp(),
+        outputs=names,
+    )
     print(f"best PSLR {trace.final_pslr_db:.3f} dB after {len(trace.records)} iterations "
           f"({trace.termination}); outputs in {args.out}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        layout, _zones = load_layout(args.layout)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    layout, _zones = load_layout(args.layout)
     q = args.grid_oversample
-    try:
-        pattern, report = evaluate_layout(layout, q_phi=q, q_theta=q, targets=args.target)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        args.out.mkdir(parents=True, exist_ok=True)
-        write_pattern_csv(pattern, args.out / "pattern.csv")
-        write_metrics_json(report, args.out / "metrics.json")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    pattern, report = evaluate_layout(layout, q_phi=q, q_theta=q, targets=args.target)
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_pattern_csv(pattern, args.out / "pattern.csv")
+    write_metrics_json(report, args.out / "metrics.json")
     pslr_text = "inf" if report.pslr_db == math.inf else f"{report.pslr_db:.3f}"
     print(f"PSLR {pslr_text} dB; outputs in {args.out}")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    try:
-        summary = read_trace_summary(args.trace)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    summary = read_trace_summary(args.trace)
     print(f"iterations: {summary.iterations}")
     print(f"termination: {summary.termination}")
     print(f"initial PSLR: {summary.initial_pslr_db:.3f} dB")
@@ -201,14 +151,30 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+COMMANDS = {"design": cmd_design, "evaluate": cmd_evaluate, "report": cmd_report}
+
+
+def _configure_logging() -> None:
+    level = os.environ.get("SAF_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level), int):
+        raise ValueError(f"SAF_LOG: unknown log level {level!r}")
+    logging.basicConfig(level=level)
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("SAF_LOG", "WARNING"))
+    """Run one subcommand; the one place where a failure becomes an exit code.
+
+    OSError is an I/O failure. Every kind of invalid input, and an infeasible
+    or degenerate design, is a ValueError (SchemaError, LayoutError,
+    InfeasibleSpecError, a degenerate pattern).
+    """
     args = build_parser().parse_args(argv)
-    if args.command == "design":
-        return cmd_design(args)
-    if args.command == "evaluate":
-        return cmd_evaluate(args)
-    return cmd_report(args)
+    try:
+        _configure_logging()
+        return COMMANDS[args.command](args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -206,23 +206,41 @@ def _elements(layout: ArrayLayout):
             yield group, i, m * g.d_y, n * g.d_z, size
 
 
-def check_overlap(layout: ArrayLayout) -> list[tuple[tuple[str, int], tuple[str, int]]]:
-    """Return every pair of elements whose rectangles overlap with positive area.
+def _overlaps(a, b) -> bool:
+    """Whether two elements, rectangles centered on their nodes, overlap with positive area.
 
-    Elements are axis-aligned rectangles centered on their grid nodes.
-    Edge contact (center separation exactly equal to the mean of the two
-    widths or heights) is legal.
+    Edge contact (center separation exactly the mean of the two widths or
+    heights) is legal.
     """
+    _ga, _ia, ya, za, sa = a
+    _gb, _ib, yb, zb, sb = b
+    return (
+        (sa.width + sb.width) / 2.0 - abs(ya - yb) > _GEOM_EPS
+        and (sa.height + sb.height) / 2.0 - abs(za - zb) > _GEOM_EPS
+    )
+
+
+def _in_zone(element, zone: ForbiddenZone, grid: GridSpec) -> bool:
+    """Whether an element's center lies strictly inside a zone that excludes its group.
+
+    A center exactly on the zone boundary is legal.
+    """
+    group, _i, y, z, _size = element
+    return (
+        zone.excludes(group)
+        and abs(y - zone.center[0] * grid.d_y) < zone.y_mc - _GEOM_EPS
+        and abs(z - zone.center[1] * grid.d_z) < zone.z_mc - _GEOM_EPS
+    )
+
+
+def check_overlap(layout: ArrayLayout) -> list[tuple[tuple[str, int], tuple[str, int]]]:
+    """Return every pair of elements whose rectangles overlap with positive area."""
     elems = list(_elements(layout))
     violations = []
-    for a in range(len(elems)):
-        ga, ia, ya, za, sa = elems[a]
-        for b in range(a + 1, len(elems)):
-            gb, ib, yb, zb, sb = elems[b]
-            dy = (sa.width + sb.width) / 2.0 - abs(ya - yb)
-            dz = (sa.height + sb.height) / 2.0 - abs(za - zb)
-            if dy > _GEOM_EPS and dz > _GEOM_EPS:
-                violations.append(((ga, ia), (gb, ib)))
+    for a, elem in enumerate(elems):
+        for other in elems[a + 1:]:
+            if _overlaps(elem, other):
+                violations.append((elem[:2], other[:2]))
     return violations
 
 
@@ -232,17 +250,33 @@ def check_forbidden_zones(
     """Return (group, element index, zone index) for every center strictly inside a zone."""
     if not zones:
         return []
+    return [
+        (elem[0], elem[1], zi)
+        for elem in _elements(layout)
+        for zi, zone in enumerate(zones)
+        if _in_zone(elem, zone, layout.grid)
+    ]
+
+
+def element_conflicts(
+    layout: ArrayLayout, group: str, index: int, pos: Coord, zones: Sequence[ForbiddenZone]
+) -> bool:
+    """Whether element ``index`` of ``group``, placed at grid node ``pos``, breaks a constraint.
+
+    The one element is checked against every other element and every zone by
+    the rules of ``check_overlap`` and ``check_forbidden_zones``, so a layout
+    passes both exactly when each of its elements passes this check in place.
+    """
     g = layout.grid
-    violations = []
-    for group, i, y, z, _size in _elements(layout):
-        for zi, zone in enumerate(zones):
-            if not zone.excludes(group):
-                continue
-            cy = zone.center[0] * g.d_y
-            cz = zone.center[1] * g.d_z
-            if abs(y - cy) < zone.y_mc - _GEOM_EPS and abs(z - cz) < zone.z_mc - _GEOM_EPS:
-                violations.append((group, i, zi))
-    return violations
+    size = layout.tx_size if group == "tx" else layout.rx_size
+    elem = (group, index, pos[0] * g.d_y, pos[1] * g.d_z, size)
+    if any(_in_zone(elem, zone, g) for zone in zones):
+        return True
+    return any(
+        _overlaps(elem, other)
+        for other in _elements(layout)
+        if other[0] != group or other[1] != index
+    )
 
 
 def thinning_ratio(layout: ArrayLayout, reference: GridSpec) -> float:

@@ -7,15 +7,17 @@ reader mutates its input file.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .beamforming import Pattern
-from .geometry import ArrayLayout, ElementSize, ForbiddenZone, GridSpec
+from .geometry import ArrayLayout, Coord, ElementSize, ForbiddenZone, GridSpec
 from .metrics import MetricsReport
 from .optimizer import DesignSpec, OptimizerTrace
 
@@ -26,41 +28,84 @@ class SchemaError(ValueError):
     """Raised for structurally invalid layout/config/trace files."""
 
 
-def _require(mapping: dict, key: str, context: str):
+# What int() and float() raise for a JSON value of the wrong type or range.
+_BAD_VALUE = (TypeError, ValueError, OverflowError)
+
+
+def _require(mapping, key: str, context: str):
+    if not isinstance(mapping, dict):
+        raise SchemaError(f"{context}: expected an object, got {type(mapping).__name__}")
     if key not in mapping:
         raise SchemaError(f"{context}: missing field {key!r}")
     return mapping[key]
 
 
-def _coords(raw, context: str) -> tuple[tuple[int, int], ...]:
-    out = []
-    for i, pair in enumerate(raw):
-        if len(pair) != 2:
-            raise SchemaError(f"{context}[{i}]: expected [m, n], got {pair!r}")
-        out.append((int(pair[0]), int(pair[1])))
-    return tuple(out)
+def _validated(make, context: str):
+    """``make()``, with the type and value errors of bad input reported as schema errors."""
+    try:
+        return make()
+    except SchemaError:
+        raise
+    except _BAD_VALUE as exc:
+        raise SchemaError(f"{context}: {exc}") from exc
+
+
+def _float(raw, context: str) -> float:
+    """A number as a float; NaN passes no range check downstream, so it is refused here."""
+    value = _validated(lambda: float(raw), context)
+    if math.isnan(value):
+        raise SchemaError(f"{context}: expected a number, got NaN")
+    return value
+
+
+def _number(mapping, key: str, context: str) -> float:
+    return _float(_require(mapping, key, context), f"{context}.{key}")
+
+
+def _items(raw, decode, context: str) -> tuple:
+    if not isinstance(raw, (list, tuple)):
+        raise SchemaError(f"{context}: expected a list, got {type(raw).__name__}")
+    return tuple(decode(item, f"{context}[{i}]") for i, item in enumerate(raw))
+
+
+def _coord(pair, context: str) -> Coord:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise SchemaError(f"{context}: expected [m, n], got {pair!r}")
+    return _validated(lambda: (int(pair[0]), int(pair[1])), context)
+
+
+def _coords(raw, context: str) -> tuple[Coord, ...]:
+    return _items(raw, _coord, context)
 
 
 def _size_from(raw: dict, context: str) -> ElementSize:
-    return ElementSize(float(_require(raw, "w", context)), float(_require(raw, "h", context)))
+    width, height = _number(raw, "w", context), _number(raw, "h", context)
+    return _validated(lambda: ElementSize(width, height), context)
+
+
+def _to_json(value):
+    """Sizes, zones and coordinate tuples as the JSON the readers take back."""
+    if isinstance(value, ElementSize):
+        return {"w": value.width, "h": value.height}
+    if isinstance(value, ForbiddenZone):
+        return zone_to_dict(value)
+    if isinstance(value, (tuple, list)):
+        return [_to_json(v) for v in value]
+    return value
 
 
 def zone_to_dict(zone: ForbiddenZone) -> dict:
-    return {
-        "y_mc": zone.y_mc,
-        "z_mc": zone.z_mc,
-        "center": list(zone.center),
-        "kind": zone.kind,
-    }
+    return {"y_mc": zone.y_mc, "z_mc": zone.z_mc, "center": list(zone.center), "kind": zone.kind}
 
 
 def zone_from_dict(raw: dict, context: str = "zone") -> ForbiddenZone:
-    center = _require(raw, "center", context)
-    return ForbiddenZone(
-        y_mc=float(_require(raw, "y_mc", context)),
-        z_mc=float(_require(raw, "z_mc", context)),
-        center=(int(center[0]), int(center[1])),
-        kind=raw.get("kind", "both-excluded"),
+    center = _coord(_require(raw, "center", context), f"{context}.center")
+    return _validated(
+        lambda: ForbiddenZone(
+            _number(raw, "y_mc", context), _number(raw, "z_mc", context), center,
+            raw.get("kind", "both-excluded"),
+        ),
+        context,
     )
 
 
@@ -68,38 +113,42 @@ def layout_to_dict(layout: ArrayLayout, zones: Sequence[ForbiddenZone] = ()) -> 
     g = layout.grid
     return {
         "grid": {"d_y": g.d_y, "d_z": g.d_z, "M": g.M, "N": g.N},
-        "tx": [list(p) for p in layout.tx_positions],
-        "rx": [list(p) for p in layout.rx_positions],
-        "tx_size": {"w": layout.tx_size.width, "h": layout.tx_size.height},
-        "rx_size": {"w": layout.rx_size.width, "h": layout.rx_size.height},
-        "enforced_tx": [list(p) for p in layout.enforced_tx],
-        "enforced_rx": [list(p) for p in layout.enforced_rx],
-        "zones": [zone_to_dict(z) for z in zones],
+        "tx": _to_json(layout.tx_positions),
+        "rx": _to_json(layout.rx_positions),
+        "tx_size": _to_json(layout.tx_size),
+        "rx_size": _to_json(layout.rx_size),
+        "enforced_tx": _to_json(layout.enforced_tx),
+        "enforced_rx": _to_json(layout.enforced_rx),
+        "zones": _to_json(tuple(zones)),
     }
 
 
 def layout_from_dict(raw: dict) -> tuple[ArrayLayout, tuple[ForbiddenZone, ...]]:
     grid_raw = _require(raw, "grid", "layout")
-    grid = GridSpec(
-        d_y=float(_require(grid_raw, "d_y", "grid")),
-        d_z=float(_require(grid_raw, "d_z", "grid")),
-        M=int(_require(grid_raw, "M", "grid")),
-        N=int(_require(grid_raw, "N", "grid")),
+    grid = _validated(
+        lambda: GridSpec(
+            _number(grid_raw, "d_y", "grid"), _number(grid_raw, "d_z", "grid"),
+            int(_require(grid_raw, "M", "grid")), int(_require(grid_raw, "N", "grid")),
+        ),
+        "grid",
     )
+    fields = {
+        "tx_positions": _coords(_require(raw, "tx", "layout"), "tx"),
+        "rx_positions": _coords(_require(raw, "rx", "layout"), "rx"),
+        "tx_size": _size_from(_require(raw, "tx_size", "layout"), "tx_size"),
+        "rx_size": _size_from(_require(raw, "rx_size", "layout"), "rx_size"),
+        "enforced_tx": _coords(raw.get("enforced_tx", []), "enforced_tx"),
+        "enforced_rx": _coords(raw.get("enforced_rx", []), "enforced_rx"),
+    }
+    zones = _items(raw.get("zones", []), zone_from_dict, "zones")
+    return _validated(lambda: ArrayLayout(grid, **fields), "layout"), zones
+
+
+def _read_json(path: Path):
     try:
-        layout = ArrayLayout(
-            grid=grid,
-            tx_positions=_coords(_require(raw, "tx", "layout"), "tx"),
-            rx_positions=_coords(_require(raw, "rx", "layout"), "rx"),
-            tx_size=_size_from(_require(raw, "tx_size", "layout"), "tx_size"),
-            rx_size=_size_from(_require(raw, "rx_size", "layout"), "rx_size"),
-            enforced_tx=_coords(raw.get("enforced_tx", []), "enforced_tx"),
-            enforced_rx=_coords(raw.get("enforced_rx", []), "enforced_rx"),
-        )
-    except ValueError as exc:
-        raise SchemaError(f"layout: {exc}") from exc
-    zones = tuple(zone_from_dict(z, f"zones[{i}]") for i, z in enumerate(raw.get("zones", [])))
-    return layout, zones
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
 def save_layout(layout: ArrayLayout, path: Path, zones: Sequence[ForbiddenZone] = ()) -> None:
@@ -107,82 +156,71 @@ def save_layout(layout: ArrayLayout, path: Path, zones: Sequence[ForbiddenZone] 
 
 
 def load_layout(path: Path) -> tuple[ArrayLayout, tuple[ForbiddenZone, ...]]:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return layout_from_dict(raw)
+    return layout_from_dict(_read_json(path))
+
+
+# One decoder per DesignSpec field type. Defaults live only in DesignSpec: a
+# field missing from a config keeps its dataclass default.
+_DECODERS = {
+    str: lambda raw, context: str(raw),
+    int: lambda raw, context: int(raw),
+    bool: lambda raw, context: bool(raw),
+    float: _float,
+    Optional[float]: lambda raw, context: None if raw is None else _float(raw, context),
+    ElementSize: _size_from,
+    tuple[ForbiddenZone, ...]: lambda raw, context: _items(raw, zone_from_dict, context),
+    tuple[Coord, ...]: _coords,
+}
+_SPEC_DECODERS = {name: _DECODERS[kind] for name, kind in typing.get_type_hints(DesignSpec).items()}
 
 
 def spec_to_dict(spec: DesignSpec) -> dict:
-    return {
-        "dimensionality": spec.dimensionality,
-        "n_tx": spec.n_tx,
-        "n_rx": spec.n_rx,
-        "target_ufov_az": spec.target_ufov_az,
-        "target_hpbw_az": spec.target_hpbw_az,
-        "target_ufov_el": spec.target_ufov_el,
-        "target_hpbw_el": spec.target_hpbw_el,
-        "tx_size": {"w": spec.tx_size.width, "h": spec.tx_size.height},
-        "rx_size": {"w": spec.rx_size.width, "h": spec.rx_size.height},
-        "zones": [zone_to_dict(z) for z in spec.zones],
-        "enforced_tx": [list(p) for p in spec.enforced_tx],
-        "enforced_rx": [list(p) for p in spec.enforced_rx],
-        "desired_pslr_db": spec.desired_pslr_db,
-        "k_max": spec.k_max,
-        "seed": spec.seed,
-        "q_phi": spec.q_phi,
-        "q_theta": spec.q_theta,
-        "intensity": spec.intensity,
-        "use_hia": spec.use_hia,
-        "plateau_interval": spec.plateau_interval,
-    }
+    return {f.name: _to_json(getattr(spec, f.name)) for f in dataclasses.fields(DesignSpec)}
+
+
+def _spec_fields(raw: dict, context: str) -> dict:
+    """The DesignSpec fields in ``raw``, each decoded by its field type."""
+    fields = {}
+    for name, value in raw.items():
+        if name in _SPEC_DECODERS:
+            where = f"{context}.{name}"
+            fields[name] = _validated(lambda: _SPEC_DECODERS[name](value, where), where)
+    return fields
 
 
 def spec_from_dict(raw: dict) -> DesignSpec:
-    try:
-        spec = DesignSpec(
-            dimensionality=str(_require(raw, "dimensionality", "config")),
-            n_tx=int(_require(raw, "n_tx", "config")),
-            n_rx=int(_require(raw, "n_rx", "config")),
-            target_ufov_az=float(_require(raw, "target_ufov_az", "config")),
-            target_hpbw_az=float(_require(raw, "target_hpbw_az", "config")),
-            tx_size=_size_from(_require(raw, "tx_size", "config"), "tx_size"),
-            rx_size=_size_from(_require(raw, "rx_size", "config"), "rx_size"),
-            target_ufov_el=float(raw.get("target_ufov_el", 90.0)),
-            target_hpbw_el=(
-                float(raw["target_hpbw_el"]) if raw.get("target_hpbw_el") is not None else None
-            ),
-            zones=tuple(zone_from_dict(z, f"zones[{i}]") for i, z in enumerate(raw.get("zones", []))),
-            enforced_tx=_coords(raw.get("enforced_tx", []), "enforced_tx"),
-            enforced_rx=_coords(raw.get("enforced_rx", []), "enforced_rx"),
-            desired_pslr_db=float(raw.get("desired_pslr_db", math.inf)),
-            k_max=int(raw.get("k_max", 1000)),
-            seed=int(raw.get("seed", 0)),
-            q_phi=int(raw.get("q_phi", 8)),
-            q_theta=int(raw.get("q_theta", 8)),
-            intensity=int(raw.get("intensity", 3)),
-            use_hia=bool(raw.get("use_hia", True)),
-            plateau_interval=int(raw.get("plateau_interval", 100)),
-        )
-    except SchemaError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"config: {exc}") from exc
-    return spec
+    for f in dataclasses.fields(DesignSpec):
+        if f.default is dataclasses.MISSING:
+            _require(raw, f.name, "config")
+    fields = _spec_fields(raw, "config")
+    return _validated(lambda: DesignSpec(**fields), "config")
 
 
-def load_design_config(path: Path) -> tuple[DesignSpec, Optional[list[dict]]]:
-    """Read a design config; returns the spec and an optional hyperparameter grid."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    spec = spec_from_dict(raw)
-    outer = raw.get("outer_loop")
-    if outer is not None and not isinstance(outer, list):
+def _outer_points(raw, spec: DesignSpec) -> Optional[list[dict]]:
+    """Decoded ``outer_loop`` overrides; each must make a valid spec from ``spec``."""
+    if raw is None:
+        return None
+    if not isinstance(raw, list):
         raise SchemaError("config: outer_loop must be a list of override objects")
-    return spec, outer
+    points = []
+    for i, point in enumerate(raw):
+        context = f"outer_loop[{i}]"
+        if not isinstance(point, dict):
+            raise SchemaError(f"{context}: expected an object, got {type(point).__name__}")
+        for name in point:
+            if name not in _SPEC_DECODERS or name == "seed":  # point i runs with seed ^ i
+                raise SchemaError(f"{context}: cannot set {name!r}")
+        fields = _spec_fields(point, context)
+        _validated(lambda: dataclasses.replace(spec, **fields), context)
+        points.append(fields)
+    return points
+
+
+def load_design_config(path: Path) -> tuple[DesignSpec, Optional[list[dict]], dict]:
+    """Read a design config: its spec, decoded outer-loop points (or None) and raw object."""
+    raw = _read_json(path)
+    spec = spec_from_dict(raw)
+    return spec, _outer_points(raw.get("outer_loop"), spec), raw
 
 
 def spec_hash(raw_config: dict) -> str:
@@ -221,34 +259,16 @@ def write_metrics_json(report: MetricsReport, path: Path) -> None:
 
 def write_trace_jsonl(trace: OptimizerTrace, path: Path, seed: int, k_max: int) -> None:
     """Trace as JSON lines: a meta line, one line per iteration, and a summary line."""
-    lines = [
-        json.dumps(
-            {"type": "meta", "seed": seed, "k_max": k_max, "initial_pslr_db": trace.initial_pslr_db}
-        )
-    ]
-    for r in trace.records:
-        lines.append(
-            json.dumps(
-                {
-                    "type": "iteration",
-                    "k": r.k,
-                    "candidate_pslr_db": r.candidate_pslr_db,
-                    "best_pslr_db": r.best_pslr_db,
-                    "accepted": r.accepted,
-                }
-            )
-        )
-    lines.append(
-        json.dumps(
-            {
-                "type": "summary",
-                "termination": trace.termination,
-                "final_pslr_db": trace.final_pslr_db,
-                "improvements": trace.improvements,
-                "iterations": len(trace.records),
-            }
-        )
-    )
+    meta = {"type": "meta", "seed": seed, "k_max": k_max, "initial_pslr_db": trace.initial_pslr_db}
+    iterations = [{"type": "iteration", **dataclasses.asdict(r)} for r in trace.records]
+    summary = {
+        "type": "summary",
+        "termination": trace.termination,
+        "final_pslr_db": trace.final_pslr_db,
+        "improvements": trace.improvements,
+        "iterations": len(trace.records),
+    }
+    lines = [json.dumps(line) for line in [meta, *iterations, summary]]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -269,18 +289,17 @@ def read_trace_summary(path: Path) -> TraceSummary:
     Checks the meta/iterations/summary structure, the 1..n iteration indexing,
     the nondecreasing best-PSLR sequence, and the summary counters.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
     records = []
-    for ln, line in enumerate(text.splitlines(), start=1):
+    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: line {ln}: {exc.msg}") from exc
+        if not isinstance(record, dict):
+            raise SchemaError(f"{path}: line {ln}: expected an object, got {type(record).__name__}")
+        records.append(record)
     if len(records) < 2 or records[0].get("type") != "meta" or records[-1].get("type") != "summary":
         raise SchemaError(f"{path}: truncated trace (missing meta or summary line)")
     meta, summary = records[0], records[-1]
@@ -290,7 +309,7 @@ def read_trace_summary(path: Path) -> TraceSummary:
     for i, rec in enumerate(iterations, start=1):
         if rec.get("type") != "iteration" or rec.get("k") != i:
             raise SchemaError(f"{path}: iteration line {i} is out of sequence")
-        best = float(rec["best_pslr_db"])
+        best = _number(rec, "best_pslr_db", f"{path}: iteration {i}")
         if best < best_prev - 1e-12:
             raise SchemaError(f"{path}: best PSLR decreases at iteration {i}")
         if rec.get("accepted"):
@@ -300,13 +319,13 @@ def read_trace_summary(path: Path) -> TraceSummary:
         raise SchemaError(f"{path}: summary iteration count does not match the records")
     if summary.get("improvements") != improvements:
         raise SchemaError(f"{path}: summary improvement count does not match the records")
-    final = float(summary["final_pslr_db"])
-    initial = float(meta["initial_pslr_db"])
-    if iterations and abs(final - float(iterations[-1]["best_pslr_db"])) > 1e-12:
+    final = _number(summary, "final_pslr_db", f"{path}: summary")
+    initial = _number(meta, "initial_pslr_db", f"{path}: meta")
+    if iterations and abs(final - best_prev) > 1e-12:
         raise SchemaError(f"{path}: summary final PSLR does not match the last record")
     return TraceSummary(
         iterations=len(iterations),
-        termination=str(summary["termination"]),
+        termination=str(_require(summary, "termination", f"{path}: summary")),
         initial_pslr_db=initial,
         final_pslr_db=final,
         improvements=improvements,

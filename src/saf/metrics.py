@@ -18,13 +18,14 @@ import numpy as np
 from .beamforming import (
     Pattern,
     Target,
+    UVGrid,
     beamform,
     make_uv_cut,
     make_uv_grid,
     synthesize_snapshot,
     uv_to_angles,
 )
-from .geometry import ArrayLayout, GridSpec, build_virtual_array
+from .geometry import ArrayLayout, GridSpec, build_virtual_array, thinning_ratio
 
 log = logging.getLogger(__name__)
 
@@ -62,6 +63,17 @@ def _visible(pattern: Pattern, fov: Optional[FovRect]) -> np.ndarray:
         visible = visible & (uu >= u_min - _EPS) & (uu <= u_max + _EPS)
         visible = visible & (vv >= v_min - _EPS) & (vv <= v_max + _EPS)
     return visible
+
+
+def scoring_grid(grid: GridSpec, q_phi: int, q_theta: int) -> UVGrid:
+    """Sine-space lattice a layout on reference ``grid`` is scored on.
+
+    The lattice matches the virtual grid, twice the physical aperture: a
+    single grid row (linear array) gets the v = 0 azimuth cut.
+    """
+    if grid.N == 1:
+        return make_uv_cut(2 * grid.M - 1, q_phi)
+    return make_uv_grid(2 * grid.M - 1, 2 * grid.N - 1, q_phi, q_theta)
 
 
 def find_peak(pattern: Pattern, fov: Optional[FovRect] = None) -> Peak:
@@ -312,11 +324,7 @@ def evaluate_layout(
     are bounding boxes of element centers.
     """
     vrx = build_virtual_array(layout)
-    vgrid = vrx.grid
-    if layout.grid.N == 1:
-        grid = make_uv_cut(vgrid.M, q_phi)
-    else:
-        grid = make_uv_grid(vgrid.M, vgrid.N, q_phi, q_theta)
+    grid = scoring_grid(layout.grid, q_phi, q_theta)
     if targets is None:
         targets = [Target(0.0, 0.0, 1.0 + 0.0j)]
     snapshot = synthesize_snapshot(vrx, targets)
@@ -326,15 +334,9 @@ def evaluate_layout(
     peak = find_peak(pattern, fov)
 
     coords = vrx.positions_wavelengths()
-    m_idx = np.array([p[0] for p in vrx.vrx_positions])
-    n_idx = np.array([p[1] for p in vrx.vrx_positions])
-    reference = GridSpec(
-        vgrid.d_y,
-        vgrid.d_z,
-        int(m_idx.max() - m_idx.min()) + 1,
-        int(n_idx.max() - n_idx.min()) + 1,
-    )
-    t_ratio = vrx.unique_count / (reference.M * reference.N)
+    ms, ns = zip(*vrx.vrx_positions)
+    reference = GridSpec(vrx.grid.d_y, vrx.grid.d_z, max(ms) - min(ms) + 1, max(ns) - min(ns) + 1)
+    t_ratio = thinning_ratio(layout, reference)
 
     d_min_y = min_axis_spacing(coords[:, 0])
     d_min_z = min_axis_spacing(coords[:, 1])
@@ -350,17 +352,13 @@ def evaluate_layout(
     span_y = _span(coords[:, 0])
     span_z = _span(coords[:, 1])
 
-    def theory_hpbw(span: float) -> Optional[float]:
-        try:
-            return theoretical_beamwidths(span)[1]
-        except ValueError:
-            return None
-
-    def theory_fnbw(span: float) -> Optional[float]:
-        try:
-            return theoretical_beamwidths(span)[0]
-        except ValueError:
-            return None
+    def theory(span: float) -> tuple[Optional[float], Optional[float]]:
+        if span > 0:
+            try:
+                return theoretical_beamwidths(span)
+            except ValueError:
+                pass
+        return None, None
 
     def measure(axis: str) -> Optional[float]:
         try:
@@ -370,10 +368,8 @@ def evaluate_layout(
 
     hpbw_az = measure("u")
     hpbw_el = None if layout.grid.N == 1 else measure("v")
-    fnbw_az = theory_fnbw(span_y) if span_y > 0 else None
-    fnbw_el = theory_fnbw(span_z) if span_z > 0 else None
-    th_az = theory_hpbw(span_y) if span_y > 0 else None
-    th_el = theory_hpbw(span_z) if span_z > 0 else None
+    fnbw_az, th_az = theory(span_y)
+    fnbw_el, th_el = theory(span_z)
     spread_az = None if (hpbw_az is None or th_az is None) else bw_spreading_factor(hpbw_az, th_az)
     spread_el = None if (hpbw_el is None or th_el is None) else bw_spreading_factor(hpbw_el, th_el)
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .beamforming import Target, beamform, make_uv_cut, make_uv_grid, synthesize_snapshot
+from .beamforming import Target, beamform, synthesize_snapshot
 from .geometry import (
     ArrayLayout,
     Coord,
@@ -29,8 +29,9 @@ from .geometry import (
     build_virtual_array,
     check_forbidden_zones,
     check_overlap,
+    element_conflicts,
 )
-from .metrics import pslr
+from .metrics import FovRect, pslr, scoring_grid
 
 # Span (dB) of the last three best-PSLR checkpoints below which the search
 # is declared converged.
@@ -349,32 +350,7 @@ def _free_node_near(
     """
     grid = layout.grid
     positions = layout.tx_positions if group == "tx" else layout.rx_positions
-    size = layout.tx_size if group == "tx" else layout.rx_size
     occupied = set(layout.tx_positions) | set(layout.rx_positions)
-    others = []
-    for i, p in enumerate(layout.tx_positions):
-        if not (group == "tx" and i == index):
-            others.append((p, layout.tx_size))
-    for i, p in enumerate(layout.rx_positions):
-        if not (group == "rx" and i == index):
-            others.append((p, layout.rx_size))
-
-    def element_ok(cand: Coord) -> bool:
-        y, z = cand[0] * grid.d_y, cand[1] * grid.d_z
-        for (om, on), osize in others:
-            oy, oz = om * grid.d_y, on * grid.d_z
-            dy = (size.width + osize.width) / 2.0 - abs(y - oy)
-            dz = (size.height + osize.height) / 2.0 - abs(z - oz)
-            if dy > _EPS and dz > _EPS:
-                return False
-        for zone in zones:
-            if not zone.excludes(group):
-                continue
-            cy, cz = zone.center[0] * grid.d_y, zone.center[1] * grid.d_z
-            if abs(y - cy) < zone.y_mc - _EPS and abs(z - cz) < zone.z_mc - _EPS:
-                return False
-        return True
-
     home = positions[index]
     for radius in range(1, max(grid.M, grid.N)):
         ring = []
@@ -385,7 +361,7 @@ def _free_node_near(
         for cand in sorted(ring):
             if not grid.contains(cand) or cand in occupied:
                 continue
-            if element_ok(cand):
+            if not element_conflicts(layout, group, index, cand, zones):
                 return cand
     return None
 
@@ -500,7 +476,8 @@ def _initial_layout(spec: DesignSpec, grid: GridSpec) -> ArrayLayout:
     return _repair(layout, spec.zones)
 
 
-def _target_fov(spec: DesignSpec) -> tuple[float, float, float, float]:
+def target_fov(spec: DesignSpec) -> FovRect:
+    """Sine-space rectangle of the target uFOV: (-sin az, sin az, -sin el, sin el)."""
     su = math.sin(math.radians(spec.target_ufov_az))
     sv = math.sin(math.radians(spec.target_ufov_el))
     return (-su, su, -sv, sv)
@@ -520,11 +497,8 @@ def optimize(spec: DesignSpec) -> tuple[ArrayLayout, OptimizerTrace]:
     grid, _virtual = derive_grid(spec)
     rng = np.random.default_rng(spec.seed)
     layout = _initial_layout(spec, grid)
-    if grid.N == 1:
-        eval_grid = make_uv_cut(2 * grid.M - 1, spec.q_phi)
-    else:
-        eval_grid = make_uv_grid(2 * grid.M - 1, 2 * grid.N - 1, spec.q_phi, spec.q_theta)
-    fov = _target_fov(spec)
+    eval_grid = scoring_grid(grid, spec.q_phi, spec.q_theta)
+    fov = target_fov(spec)
     broadside = [Target(0.0, 0.0, 1.0 + 0.0j)]
 
     def score(lay: ArrayLayout) -> float:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saf import (
     ArrayLayout,
@@ -11,12 +13,14 @@ from saf import (
     build_virtual_array,
     check_forbidden_zones,
     check_overlap,
+    element_conflicts,
     minkowski_sum,
     spacing_ecdf,
     thinning_ratio,
     union_area,
     virtual_coverage_area,
 )
+from saf.geometry import ZONE_KINDS
 from conftest import linear_layout, small_size
 
 
@@ -196,6 +200,56 @@ class TestForbiddenZones:
         # an element in the middle of the cross violates both strips
         bad = ArrayLayout(grid, [(30, 30)], corners_rx, small_size(), small_size())
         assert check_forbidden_zones(bad, strips) == [("tx", 0, 0), ("tx", 0, 1)]
+
+
+# Half-wavelength multiples, so edge contact and zone-boundary centers occur.
+_LENGTHS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
+
+
+@st.composite
+def layouts_with_zones(draw):
+    M, N = draw(st.integers(2, 8)), draw(st.integers(1, 6))
+    nodes = st.tuples(st.integers(0, M - 1), st.integers(0, N - 1))
+    positions = draw(st.lists(nodes, min_size=2, max_size=10, unique=True))
+    n_tx = draw(st.integers(1, len(positions) - 1))
+    spacing = st.sampled_from([0.25, 0.5, 1.0])
+    size = st.builds(ElementSize, _LENGTHS.filter(bool), _LENGTHS.filter(bool))
+    layout = ArrayLayout(
+        GridSpec(draw(spacing), draw(spacing), M, N),
+        positions[:n_tx],
+        positions[n_tx:],
+        draw(size),
+        draw(size),
+    )
+    zone = st.builds(ForbiddenZone, _LENGTHS, _LENGTHS, nodes, st.sampled_from(ZONE_KINDS))
+    return layout, draw(st.lists(zone, max_size=3))
+
+
+class TestConflictPredicate:
+    @settings(max_examples=300, deadline=None)
+    @given(layouts_with_zones())
+    def test_layout_checks_agree_with_single_element_check(self, case):
+        layout, zones = case
+        flagged = {e for pair in check_overlap(layout) for e in pair}
+        flagged |= {(g, i) for g, i, _zi in check_forbidden_zones(layout, zones)}
+        in_conflict = {
+            (group, i)
+            for group, positions in (("tx", layout.tx_positions), ("rx", layout.rx_positions))
+            for i, pos in enumerate(positions)
+            if element_conflicts(layout, group, i, pos, zones)
+        }
+        assert in_conflict == flagged
+        valid = not check_overlap(layout) and not check_forbidden_zones(layout, zones)
+        assert valid == (not in_conflict)
+
+    def test_moved_element_is_checked_at_its_new_node(self):
+        grid = GridSpec(0.5, 0.5, 64, 1)
+        layout = ArrayLayout(grid, [(0, 0), (4, 0)], [(60, 0)], ElementSize(2.0, 1.0), small_size())
+        assert not element_conflicts(layout, "tx", 1, (4, 0), [])
+        assert element_conflicts(layout, "tx", 1, (3, 0), [])  # 1.5 wavelengths from tx 0
+        zone = ForbiddenZone(1.0, 1.0, center=(10, 0), kind="tx-excluded")
+        assert element_conflicts(layout, "tx", 1, (10, 0), [zone])
+        assert not element_conflicts(layout, "tx", 1, (12, 0), [zone])  # on the boundary
 
 
 class TestThinningRatio:

@@ -23,6 +23,7 @@ from saf.io import (
     read_trace_summary,
     save_layout,
     spec_from_dict,
+    spec_hash,
     spec_to_dict,
     write_pattern_csv,
 )
@@ -233,6 +234,95 @@ class TestEvaluateCommand:
         code = main(["evaluate", "--layout", str(tmp_path / "lay.json"), "--out", str(out),
                      "--target", "0.25,0.0"])
         assert code == 0
+
+
+def _file(tmp_path, name, content):
+    path = tmp_path / name
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return str(path)
+
+
+def _evaluate(tmp_path, layout):
+    return ["evaluate", "--layout", _file(tmp_path, "layout.json", layout), "--out", str(tmp_path / "o")]
+
+
+def _design(tmp_path, **overrides):
+    config = _file(tmp_path, "design.json", design_config(**overrides))
+    return ["design", "--config", config, "--out", str(tmp_path / "o")]
+
+
+_META = {"type": "meta", "seed": 0, "k_max": 1, "initial_pslr_db": 1.0}
+_ITERATION = {"type": "iteration", "k": 1, "candidate_pslr_db": 2.0, "best_pslr_db": 2.0,
+              "accepted": True}
+_SUMMARY = {"type": "summary", "termination": "budget", "final_pslr_db": 2.0, "improvements": 1,
+            "iterations": 1}
+
+
+def _report(tmp_path, *records):
+    text = "\n".join(json.dumps(r) for r in records) + "\n"
+    return ["report", "--trace", _file(tmp_path, "trace.jsonl", text)]
+
+
+def _without(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+def _saf_log(tmp_path, monkeypatch):
+    monkeypatch.setenv("SAF_LOG", "LOUD")
+    return _report(tmp_path, _META, _ITERATION, _SUMMARY)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(lambda t, m: _evaluate(t, 5), 2, id="layout-not-an-object"),
+        pytest.param(lambda t, m: _evaluate(t, {**layout_to_dict(ula_layout(4)), "grid": None}),
+                     2, id="layout-grid-null"),
+        pytest.param(lambda t, m: _evaluate(t, {**layout_to_dict(ula_layout(4)), "tx": [7, [0, 0]]}),
+                     2, id="layout-coordinate-not-a-pair"),
+        pytest.param(lambda t, m: _report(t, _META, [1, 2], _SUMMARY), 2, id="trace-line-not-an-object"),
+        pytest.param(lambda t, m: _report(t, _META, _without(_ITERATION, "best_pslr_db"), _SUMMARY),
+                     2, id="trace-missing-best"),
+        pytest.param(lambda t, m: _report(t, _META, _ITERATION, _without(_SUMMARY, "final_pslr_db")),
+                     2, id="trace-missing-final"),
+        pytest.param(lambda t, m: _report(t, _without(_META, "initial_pslr_db"), _ITERATION, _SUMMARY),
+                     2, id="trace-missing-initial"),
+        pytest.param(lambda t, m: ["report", "--trace", str(t / "missing.jsonl")], 1,
+                     id="trace-file-missing"),
+        pytest.param(lambda t, m: _design(t, n_tx=1, n_rx=1), 2, id="design-1x1-degenerate"),
+        pytest.param(lambda t, m: _design(t, desired_pslr_db=math.nan), 2, id="design-nan-pslr-goal"),
+        pytest.param(_saf_log, 2, id="invalid-saf-log"),
+    ],
+)
+def test_exit_code_contract(argv, code, tmp_path, monkeypatch, capsys):
+    assert main(argv(tmp_path, monkeypatch)) == code
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [({"bogus": 1}, "cannot set 'bogus'"), ({"k_max": 0}, "k_max must be >= 1"),
+     ({"intensity": "x"}, "intensity"), ({"seed": 3}, "seed"), (5, "expected an object")],
+)
+def test_invalid_outer_loop_point_exits_2_before_optimizing(point, message, tmp_path, monkeypatch,
+                                                             capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the optimizer ran on an invalid config")
+
+    monkeypatch.setattr("saf.cli.outer_loop", never)
+    monkeypatch.setattr("saf.cli.optimize", never)
+    assert main(_design(tmp_path, outer_loop=[{"intensity": 2}, point])) == 2
+    err = capsys.readouterr().err
+    assert "outer_loop[1]" in err and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_spec_hash_covers_the_command_line_overrides(tmp_path):
+    args = _design(tmp_path) + ["--seed", "11", "--grid-oversample", "2"]
+    assert main(args) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    expected = spec_hash({**design_config(), "seed": 11, "q_phi": 2, "q_theta": 2})
+    assert manifest["spec_hash"] == expected
 
 
 class TestSubprocessEntryPoint:
