@@ -11,6 +11,7 @@ globally consistent sign choice yields identical magnitude patterns.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -26,15 +27,11 @@ _UV_EPS = 1e-12
 class UVGrid:
     """Uniform sine-space sample lattice.
 
-    ``u_samples`` has M * q_phi entries, ``v_samples`` N * q_theta, both
-    covering [-1, 1). ``cut`` grids (single fixed v) relax the v formula so
-    linear arrays can be scored on their broadside azimuth cut.
+    From ``make_uv_grid(M, N, q_phi, q_theta)``, ``u_samples`` has M * q_phi
+    entries and ``v_samples`` N * q_theta, both covering [-1, 1). ``cut`` grids (the single row v = 0) relax the v formula
+    so linear arrays can be scored on their broadside azimuth cut.
     """
 
-    M: int
-    N: int
-    q_phi: int
-    q_theta: int
     u_samples: np.ndarray
     v_samples: np.ndarray
 
@@ -49,15 +46,12 @@ def make_uv_grid(M: int, N: int, q_phi: int, q_theta: int) -> UVGrid:
         raise ValueError("grid dimensions and oversampling factors must be >= 1")
     u = 2.0 * np.arange(M * q_phi) / (M * q_phi) - 1.0
     v = 2.0 * np.arange(N * q_theta) / (N * q_theta) - 1.0
-    return UVGrid(M, N, q_phi, q_theta, u, v)
+    return UVGrid(u, v)
 
 
-def make_uv_cut(M: int, q_phi: int, v: float = 0.0) -> UVGrid:
-    """Single-row grid along u at fixed v, for azimuth cuts of linear arrays."""
-    if M < 1 or q_phi < 1:
-        raise ValueError("grid dimensions and oversampling factors must be >= 1")
-    u = 2.0 * np.arange(M * q_phi) / (M * q_phi) - 1.0
-    return UVGrid(M, 1, q_phi, 1, u, np.array([float(v)]))
+def make_uv_cut(M: int, q_phi: int) -> UVGrid:
+    """Single-row grid along u at v = 0, for azimuth cuts of linear arrays."""
+    return UVGrid(make_uv_grid(M, 1, q_phi, 1).u_samples, np.zeros(1))
 
 
 def angles_to_uv(phi: float, theta: float) -> tuple[float, float]:
@@ -96,6 +90,8 @@ class Target:
     amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self):
+        if not all(map(cmath.isfinite, (self.u, self.v, self.amplitude))):
+            raise ValueError(f"target ({self.u}, {self.v}, {self.amplitude}) is not finite")
         if self.u * self.u + self.v * self.v > 1.0 + _UV_EPS:
             raise ValueError(f"target ({self.u}, {self.v}) lies outside the real-angle disk")
 
@@ -105,7 +101,6 @@ class CouplingMatrix:
     """User-supplied square mutual-coupling matrix applied to snapshots."""
 
     matrix: np.ndarray
-    provenance: str = "user-supplied"
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)

@@ -28,7 +28,7 @@ class SchemaError(ValueError):
     """Raised for structurally invalid layout/config/trace files."""
 
 
-# What int() and float() raise for a JSON value of the wrong type or range.
+# What float() and the model constructors raise for a value of the wrong type or range.
 _BAD_VALUE = (TypeError, ValueError, OverflowError)
 
 
@@ -50,8 +50,26 @@ def _validated(make, context: str):
         raise SchemaError(f"{context}: {exc}") from exc
 
 
+def _int(raw, context: str) -> int:
+    """A JSON integer. A bool, a float or a string is refused, not converted."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise SchemaError(f"{context}: expected an integer, got {raw!r}")
+    return raw
+
+
+def _bool(raw, context: str) -> bool:
+    if not isinstance(raw, bool):
+        raise SchemaError(f"{context}: expected true or false, got {raw!r}")
+    return raw
+
+
 def _float(raw, context: str) -> float:
-    """A number as a float; NaN passes no range check downstream, so it is refused here."""
+    """A JSON number as a float. Bools, strings and NaN are refused.
+
+    NaN would pass every range check downstream.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise SchemaError(f"{context}: expected a number, got {raw!r}")
     value = _validated(lambda: float(raw), context)
     if math.isnan(value):
         raise SchemaError(f"{context}: expected a number, got NaN")
@@ -71,7 +89,7 @@ def _items(raw, decode, context: str) -> tuple:
 def _coord(pair, context: str) -> Coord:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise SchemaError(f"{context}: expected [m, n], got {pair!r}")
-    return _validated(lambda: (int(pair[0]), int(pair[1])), context)
+    return _int(pair[0], context), _int(pair[1], context)
 
 
 def _coords(raw, context: str) -> tuple[Coord, ...]:
@@ -128,7 +146,8 @@ def layout_from_dict(raw: dict) -> tuple[ArrayLayout, tuple[ForbiddenZone, ...]]
     grid = _validated(
         lambda: GridSpec(
             _number(grid_raw, "d_y", "grid"), _number(grid_raw, "d_z", "grid"),
-            int(_require(grid_raw, "M", "grid")), int(_require(grid_raw, "N", "grid")),
+            _int(_require(grid_raw, "M", "grid"), "grid.M"),
+            _int(_require(grid_raw, "N", "grid"), "grid.N"),
         ),
         "grid",
     )
@@ -163,8 +182,8 @@ def load_layout(path: Path) -> tuple[ArrayLayout, tuple[ForbiddenZone, ...]]:
 # field missing from a config keeps its dataclass default.
 _DECODERS = {
     str: lambda raw, context: str(raw),
-    int: lambda raw, context: int(raw),
-    bool: lambda raw, context: bool(raw),
+    int: _int,
+    bool: _bool,
     float: _float,
     Optional[float]: lambda raw, context: None if raw is None else _float(raw, context),
     ElementSize: _size_from,

@@ -156,16 +156,14 @@ def measured_hpbw(pattern: Pattern, axis: str = "u") -> float:
     """
     if axis not in ("u", "v"):
         raise ValueError(f"axis must be 'u' or 'v', got {axis!r}")
+    ax = "uv".index(axis)
     peak = find_peak(pattern)
     mag = pattern.magnitude
-    if axis == "u":
-        cut = mag[peak.iv, :]
-        coords = pattern.grid.u_samples
-        center = peak.iu
-    else:
-        cut = mag[:, peak.iu]
-        coords = pattern.grid.v_samples
-        center = peak.iv
+    # The v cut through the peak is the u cut of the transposed pattern.
+    nodes = (peak.iu, peak.iv)
+    cut = (mag, mag.T)[ax][nodes[1 - ax]]
+    coords = (pattern.grid.u_samples, pattern.grid.v_samples)[ax]
+    center = nodes[ax]
     level = peak.magnitude * 10.0 ** (-3.0 / 20.0)
     if int((cut > level).sum()) < 3:
         raise ValueError("pattern too coarse: fewer than 3 samples above the -3 dB level")
@@ -181,17 +179,10 @@ def measured_hpbw(pattern: Pattern, axis: str = "u") -> float:
         raise ValueError("-3 dB crossing not found within the grid")
 
     lo, hi = crossing(-1), crossing(+1)
-    if axis == "u":
-        a_lo = uv_to_angles(lo, peak.v)
-        a_hi = uv_to_angles(hi, peak.v)
-        idx = 0
-    else:
-        a_lo = uv_to_angles(peak.u, lo)
-        a_hi = uv_to_angles(peak.u, hi)
-        idx = 1
+    a_lo, a_hi = (uv_to_angles(*((x, peak.v) if ax == 0 else (peak.u, x))) for x in (lo, hi))
     if a_lo is None or a_hi is None:
         raise ValueError("-3 dB crossing falls outside the real-angle disk")
-    return abs(a_hi[idx] - a_lo[idx])
+    return abs(a_hi[ax] - a_lo[ax])
 
 
 def grating_lobe_angles(d_lambda: float, phi_t: float) -> list[float]:

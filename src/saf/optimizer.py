@@ -99,7 +99,6 @@ class DesignSpec:
 class HiaSpacing:
     """Arithmetic-progression spacing assignment: d_n = d_min + (n-1) delta_d."""
 
-    d_min: float
     delta_d: float
     spacings: tuple[float, ...]
     positions: tuple[float, ...]
@@ -115,7 +114,7 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class OptimizerTrace:
-    """Per-iteration search history plus the final best layout.
+    """Per-iteration search history of one optimizer run.
 
     ``accepted_layouts`` holds the layout adopted at each accepted iteration
     (the initial layout first), so constraint preservation can be audited.
@@ -123,7 +122,6 @@ class OptimizerTrace:
 
     records: tuple[IterationRecord, ...]
     initial_pslr_db: float
-    best_layout: ArrayLayout
     termination: str
     accepted_layouts: tuple[ArrayLayout, ...] = ()
 
@@ -187,7 +185,7 @@ def hia_init(n: int, x_min: float, x_max: float, d_min: float) -> HiaSpacing:
     delta = slack / sum(range(1, n - 1))
     spacings = tuple(d_min + k * delta for k in range(n - 1))
     positions = (float(x_min),) + tuple(float(x_min + s) for s in np.cumsum(spacings))
-    return HiaSpacing(d_min=d_min, delta_d=delta, spacings=spacings, positions=positions)
+    return HiaSpacing(delta_d=delta, spacings=spacings, positions=positions)
 
 
 def snap_to_grid(
@@ -246,22 +244,12 @@ def _shuffle_axis(
         return None
     order = sorted(range(n), key=lambda i: (positions[i][axis], positions[i][1 - axis]))
     coords = [positions[order[j]][axis] for j in range(n)]
-    anchors = [j for j in range(n) if positions[order[j]] in enforced]
     deltas = [coords[j + 1] - coords[j] for j in range(n - 1)]
-    segments = []
-    start = 0
-    for a in anchors:
-        if a > start:
-            segments.append((start, a))
-        start = a
-    if start < n - 1:
-        segments.append((start, n - 1))
-    movable = [hi - lo for lo, hi in segments if hi - lo >= 2]
-    if not movable:
+    bounds = sorted({0, n - 1, *(j for j in range(n) if positions[order[j]] in enforced)})
+    segments = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi - lo >= 2]
+    if not segments:
         return None
     for lo, hi in segments:
-        if hi - lo < 2:
-            continue
         perm = rng.permutation(hi - lo)
         deltas[lo:hi] = [deltas[lo + p] for p in perm]
     new_coords = [coords[0]]
@@ -353,25 +341,23 @@ def _free_node_near(
     occupied = set(layout.tx_positions) | set(layout.rx_positions)
     home = positions[index]
     for radius in range(1, max(grid.M, grid.N)):
-        ring = []
+        # The ring's nodes in lexicographic order: full columns at its two
+        # edges, only the top and bottom node in between.
         for dm in range(-radius, radius + 1):
-            for dn in range(-radius, radius + 1):
-                if max(abs(dm), abs(dn)) == radius:
-                    ring.append((home[0] + dm, home[1] + dn))
-        for cand in sorted(ring):
-            if not grid.contains(cand) or cand in occupied:
-                continue
-            if not element_conflicts(layout, group, index, cand, zones):
-                return cand
+            for dn in range(-radius, radius + 1) if abs(dm) == radius else (-radius, radius):
+                cand = (home[0] + dm, home[1] + dn)
+                if not grid.contains(cand) or cand in occupied:
+                    continue
+                if not element_conflicts(layout, group, index, cand, zones):
+                    return cand
     return None
 
 
-def _repair(layout: ArrayLayout, zones: Sequence[ForbiddenZone], max_rounds: int = 500) -> ArrayLayout:
-    """Resolve overlap/zone violations by relocating offending elements."""
+def _repair(layout: ArrayLayout, zones: Sequence[ForbiddenZone]) -> ArrayLayout:
+    """Resolve overlap/zone violations by relocating offending elements, at most 500 times."""
     enforced = {("tx", i) for i, p in enumerate(layout.tx_positions) if p in set(layout.enforced_tx)}
     enforced |= {("rx", i) for i, p in enumerate(layout.rx_positions) if p in set(layout.enforced_rx)}
-    for _ in range(max_rounds):
-        offender = None
+    for _ in range(500):
         overlaps = check_overlap(layout)
         if overlaps:
             a, b = overlaps[0]
@@ -398,31 +384,24 @@ def _place_lines(
     n: int,
     grid: GridSpec,
     size: ElementSize,
-    primary: str,
+    axis: int,
     use_hia: bool,
     occupied: set[Coord],
 ) -> list[Coord]:
-    """Distribute n elements over one or more lines along the primary axis.
+    """Distribute n elements over one or more lines along ``axis`` (0 = y, 1 = z).
 
-    Elements spread along the primary axis with spacing-progression positions;
-    when one line cannot hold them all at the minimum spacing, they split
-    across several lines spread over the cross axis.
+    Elements spread along the axis with spacing-progression positions; when
+    one line cannot hold them all at the minimum spacing, they split across
+    several lines spread over the cross axis.
     """
     if n == 0:
         return []
-    if primary == "y":
-        d_axis, axis_extent, axis_limit = grid.d_y, grid.extent_y, grid.M
-        d_cross, cross_extent, cross_limit = grid.d_z, grid.extent_z, grid.N
-        d_min_axis = max(size.width, d_axis)
-        d_min_cross = max(size.height, d_cross)
-    else:
-        d_axis, axis_extent, axis_limit = grid.d_z, grid.extent_z, grid.N
-        d_cross, cross_extent, cross_limit = grid.d_y, grid.extent_y, grid.M
-        d_min_axis = max(size.height, d_axis)
-        d_min_cross = max(size.width, d_cross)
-    capacity = int(math.floor(axis_extent / d_min_axis + _EPS)) + 1
+    cross = 1 - axis
+    spacing, extent, limit = (grid.d_y, grid.d_z), (grid.extent_y, grid.extent_z), (grid.M, grid.N)
+    d_min = (max(size.width, grid.d_y), max(size.height, grid.d_z))
+    capacity = int(math.floor(extent[axis] / d_min[axis] + _EPS)) + 1
     lines = max(1, math.ceil(n / capacity))
-    if lines > 1 and (lines - 1) * d_min_cross > cross_extent + _EPS:
+    if lines > 1 and (lines - 1) * d_min[cross] > extent[cross] + _EPS:
         raise InfeasibleSpecError(
             f"{n} elements do not fit the aperture under the size constraints"
         )
@@ -430,21 +409,16 @@ def _place_lines(
         cross_nodes = [0]
     else:
         cross_nodes = [
-            int(round(x / d_cross)) for x in np.linspace(0.0, cross_extent, lines)
+            int(round(x / spacing[cross])) for x in np.linspace(0.0, extent[cross], lines)
         ]
     counts = [n // lines + (1 if i < n % lines else 0) for i in range(lines)]
     placed: list[Coord] = []
     for cross_node, count in zip(cross_nodes, counts):
-        cross_node = min(cross_node, cross_limit - 1)
-        wavelengths = _line_positions(count, axis_extent, d_min_axis, use_hia)
-        if primary == "y":
-            taken = {m for (m, nn) in occupied if nn == cross_node}
-            nodes = snap_to_grid(wavelengths, grid, occupied=taken, axis="y")
-            coords = [(m, cross_node) for m in nodes]
-        else:
-            taken = {nn for (m, nn) in occupied if m == cross_node}
-            nodes = snap_to_grid(wavelengths, grid, occupied=taken, axis="z")
-            coords = [(cross_node, nn) for nn in nodes]
+        cross_node = min(cross_node, limit[cross] - 1)
+        wavelengths = _line_positions(count, extent[axis], d_min[axis], use_hia)
+        taken = {p[axis] for p in occupied if p[cross] == cross_node}
+        nodes = snap_to_grid(wavelengths, grid, occupied=taken, axis="yz"[axis])
+        coords = [(node, cross_node) if axis == 0 else (cross_node, node) for node in nodes]
         occupied.update(coords)
         placed.extend(coords)
     return placed
@@ -455,13 +429,10 @@ def _initial_layout(spec: DesignSpec, grid: GridSpec) -> ArrayLayout:
     tx = list(spec.enforced_tx)
     rx = list(spec.enforced_rx)
     occupied = set(tx) | set(rx)
+    tx_axis = 1 if grid.N > 1 else 0  # TX lines run along z on a planar grid, along y on a line
     try:
-        if grid.N == 1:
-            tx += _place_lines(spec.n_tx - len(tx), grid, spec.tx_size, "y", spec.use_hia, occupied)
-            rx += _place_lines(spec.n_rx - len(rx), grid, spec.rx_size, "y", spec.use_hia, occupied)
-        else:
-            tx += _place_lines(spec.n_tx - len(tx), grid, spec.tx_size, "z", spec.use_hia, occupied)
-            rx += _place_lines(spec.n_rx - len(rx), grid, spec.rx_size, "y", spec.use_hia, occupied)
+        tx += _place_lines(spec.n_tx - len(tx), grid, spec.tx_size, tx_axis, spec.use_hia, occupied)
+        rx += _place_lines(spec.n_rx - len(rx), grid, spec.rx_size, 0, spec.use_hia, occupied)
         layout = ArrayLayout(
             grid=grid,
             tx_positions=tuple(tx),
@@ -538,7 +509,6 @@ def optimize(spec: DesignSpec) -> tuple[ArrayLayout, OptimizerTrace]:
     trace = OptimizerTrace(
         records=tuple(records),
         initial_pslr_db=initial,
-        best_layout=best,
         termination=termination,
         accepted_layouts=tuple(accepted_layouts),
     )

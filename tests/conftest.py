@@ -1,5 +1,7 @@
 """Shared builders and independent oracles for the test suite."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,26 @@ def direct_pattern(coords_wl, snapshot, u_samples, v_samples):
             phase = -2j * np.pi * (coords_wl[:, 0] * u + coords_wl[:, 1] * v)
             out[iv, iu] = np.sum(snapshot * np.exp(phase))
     return out
+
+
+def reference_main_lobe(mag, iv, iu):
+    """Main-lobe mask by breadth-first search from node (iv, iu).
+
+    A 4-neighbour joins when its magnitude is at most that of the node it is
+    reached from: an oracle independent of ``mask_main_lobe``'s grid fixpoint.
+    """
+    mag = np.asarray(mag)
+    mask = np.zeros(mag.shape, dtype=bool)
+    mask[iv, iu] = True
+    queue = deque([(iv, iu)])
+    while queue:
+        i, j = queue.popleft()
+        for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+            inside = 0 <= ni < mag.shape[0] and 0 <= nj < mag.shape[1]
+            if inside and not mask[ni, nj] and mag[ni, nj] <= mag[i, j]:
+                mask[ni, nj] = True
+                queue.append((ni, nj))
+    return mask
 
 
 def dirichlet_magnitude(n: int, d_lambda: float, u):

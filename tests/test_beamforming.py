@@ -136,6 +136,15 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             Target(0.9, 0.9)
 
+    @pytest.mark.parametrize(
+        "u, v, amplitude",
+        [(math.nan, 0.0, 1.0), (0.0, math.nan, 1.0), (0.0, 0.0, complex(1.0, math.nan)),
+         (math.inf, 0.0, 1.0), (0.0, 0.0, math.inf)],
+    )
+    def test_non_finite_target_rejected(self, u, v, amplitude):
+        with pytest.raises(ValueError, match="not finite"):
+            Target(u, v, amplitude)
+
 
 class TestCoupling:
     def test_identity(self):

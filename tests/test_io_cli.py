@@ -8,10 +8,12 @@ import pytest
 from saf import (
     ElementSize,
     ForbiddenZone,
+    Pattern,
     Target,
     beamform,
     build_virtual_array,
     make_uv_cut,
+    make_uv_grid,
     synthesize_snapshot,
 )
 from saf.cli import main
@@ -118,6 +120,19 @@ class TestPatternCsv:
         rows = (tmp_path / "p.csv").read_text().splitlines()[1:]
         dbs = [float(r.split(",")[4]) for r in rows]
         assert min(dbs) == -120.0
+
+    def test_golden_bytes(self, tmp_path):
+        # |6+8j| = 10 is the peak, -1 lies 20 dB below it, 0 and 1e-7 are floored.
+        values = np.array([[6 + 8j, -1], [0, 1e-7]], dtype=complex)
+        vrx = build_virtual_array(ula_layout(2))
+        write_pattern_csv(Pattern(make_uv_grid(2, 2, 1, 1), values, vrx), tmp_path / "p.csv")
+        assert (tmp_path / "p.csv").read_text() == (
+            "u,v,re,im,mag_db\n"
+            "-1,-1,6,8,0\n"
+            "0,-1,-1,0,-20\n"
+            "-1,0,0,0,-120\n"
+            "0,0,9.9999999999999995e-08,0,-120\n"
+        )
 
 
 class TestDesignCommand:
@@ -235,6 +250,16 @@ class TestEvaluateCommand:
                      "--target", "0.25,0.0"])
         assert code == 0
 
+    @pytest.mark.parametrize("target", ["nan,0", "0,nan", "0.1,0,nan", "0,0,1,nan"])
+    def test_non_finite_target_rejected_by_the_parser(self, target, tmp_path, capsys):
+        save_layout(ula_layout(8), tmp_path / "lay.json")
+        with pytest.raises(SystemExit) as exited:
+            main(["evaluate", "--layout", str(tmp_path / "lay.json"), "--out", str(tmp_path / "o"),
+                  f"--target={target}"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --target: target (" in err and "is not finite" in err
+
 
 def _file(tmp_path, name, content):
     path = tmp_path / name
@@ -273,30 +298,54 @@ def _saf_log(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, field",
     [
-        pytest.param(lambda t, m: _evaluate(t, 5), 2, id="layout-not-an-object"),
+        pytest.param(lambda t, m: _evaluate(t, 5), 2, "", id="layout-not-an-object"),
         pytest.param(lambda t, m: _evaluate(t, {**layout_to_dict(ula_layout(4)), "grid": None}),
-                     2, id="layout-grid-null"),
+                     2, "", id="layout-grid-null"),
         pytest.param(lambda t, m: _evaluate(t, {**layout_to_dict(ula_layout(4)), "tx": [7, [0, 0]]}),
-                     2, id="layout-coordinate-not-a-pair"),
-        pytest.param(lambda t, m: _report(t, _META, [1, 2], _SUMMARY), 2, id="trace-line-not-an-object"),
+                     2, "", id="layout-coordinate-not-a-pair"),
+        pytest.param(lambda t, m: _report(t, _META, [1, 2], _SUMMARY), 2, "",
+                     id="trace-line-not-an-object"),
         pytest.param(lambda t, m: _report(t, _META, _without(_ITERATION, "best_pslr_db"), _SUMMARY),
-                     2, id="trace-missing-best"),
+                     2, "", id="trace-missing-best"),
         pytest.param(lambda t, m: _report(t, _META, _ITERATION, _without(_SUMMARY, "final_pslr_db")),
-                     2, id="trace-missing-final"),
+                     2, "", id="trace-missing-final"),
         pytest.param(lambda t, m: _report(t, _without(_META, "initial_pslr_db"), _ITERATION, _SUMMARY),
-                     2, id="trace-missing-initial"),
-        pytest.param(lambda t, m: ["report", "--trace", str(t / "missing.jsonl")], 1,
+                     2, "", id="trace-missing-initial"),
+        pytest.param(lambda t, m: ["report", "--trace", str(t / "missing.jsonl")], 1, "",
                      id="trace-file-missing"),
-        pytest.param(lambda t, m: _design(t, n_tx=1, n_rx=1), 2, id="design-1x1-degenerate"),
-        pytest.param(lambda t, m: _design(t, desired_pslr_db=math.nan), 2, id="design-nan-pslr-goal"),
-        pytest.param(_saf_log, 2, id="invalid-saf-log"),
+        pytest.param(lambda t, m: _design(t, n_tx=1, n_rx=1), 2, "", id="design-1x1-degenerate"),
+        pytest.param(lambda t, m: _design(t, desired_pslr_db=math.nan), 2, "",
+                     id="design-nan-pslr-goal"),
+        pytest.param(_saf_log, 2, "", id="invalid-saf-log"),
+        # JSON values of the wrong type are refused, not converted.
+        pytest.param(lambda t, m: _design(t, use_hia="false"), 2, "config.use_hia",
+                     id="config-bool-as-string"),
+        pytest.param(lambda t, m: _design(t, k_max=5.7), 2, "config.k_max", id="config-int-as-float"),
+        pytest.param(lambda t, m: _design(t, k_max=True), 2, "config.k_max", id="config-int-as-bool"),
+        pytest.param(lambda t, m: _design(t, intensity="3"), 2, "config.intensity",
+                     id="config-int-as-string"),
+        pytest.param(lambda t, m: _design(t, seed=1.9), 2, "config.seed", id="config-seed-as-float"),
+        # A 1-degree uFOV (true read as 1.0) is feasible only on a wide, finely sampled aperture.
+        pytest.param(lambda t, m: _design(t, target_ufov_az=True, q_phi=64,
+                                          target_hpbw_az=math.degrees(0.886 / 400)),
+                     2, "config.target_ufov_az", id="config-float-as-bool"),
+        pytest.param(lambda t, m: _design(t, enforced_tx=[[0.9, 0]]), 2, "config.enforced_tx[0]",
+                     id="config-coordinate-as-float"),
+        pytest.param(lambda t, m: _evaluate(t, {**layout_to_dict(ula_layout(4)),
+                                                "grid": {"d_y": 0.5, "d_z": 0.5, "M": 4.5, "N": 1}}),
+                     2, "grid.M", id="layout-grid-size-as-float"),
+        pytest.param(lambda t, m: _evaluate(t, {**layout_to_dict(ula_layout(4)),
+                                                "rx": [[0, 0], [1, 0], [2, 0], [3.2, 0]]}),
+                     2, "rx[3]", id="layout-coordinate-as-float"),
     ],
 )
-def test_exit_code_contract(argv, code, tmp_path, monkeypatch, capsys):
+def test_exit_code_contract(argv, code, field, tmp_path, monkeypatch, capsys):
     assert main(argv(tmp_path, monkeypatch)) == code
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from saf import (
     Pattern,
+    Peak,
     Rect,
     Target,
     beamform,
@@ -25,7 +29,7 @@ from saf import (
     ufov,
     virtual_coverage_area,
 )
-from conftest import dirichlet_magnitude, ula_layout
+from conftest import dirichlet_magnitude, reference_main_lobe, ula_layout
 
 
 def ula_pattern(n, d_y=0.5, q=8, target=Target(0.0, 0.0)):
@@ -96,6 +100,20 @@ class TestMainLobeMask:
         m1 = mask_main_lobe(pattern, peak).mask
         m2 = mask_main_lobe(pattern, peak).mask
         assert (m1 == m2).all()
+
+    # Few distinct levels, so ties and plateaus are common.
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(float, st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                  elements=st.sampled_from([0.0, 1.0, 2.0, 3.0])))
+    def test_matches_breadth_first_reference(self, mag):
+        n_v, n_u = mag.shape
+        iv, iu = np.unravel_index(int(np.argmax(mag)), mag.shape)
+        pattern = Pattern(make_uv_grid(n_u, n_v, 1, 1), mag.astype(complex),
+                          build_virtual_array(ula_layout(2)))
+        peak = Peak(float(mag[iv, iu]), float(pattern.grid.u_samples[iu]),
+                    float(pattern.grid.v_samples[iv]), int(iu), int(iv))
+        mask = mask_main_lobe(pattern, peak).mask
+        assert (mask == reference_main_lobe(mag, iv, iu)).all()
 
 
 class TestPslr:
