@@ -12,6 +12,7 @@ globally consistent sign choice yields identical magnitude patterns.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -121,8 +122,9 @@ class Pattern:
         if self.values.shape != self.grid.shape:
             raise ValueError(f"pattern shape {self.values.shape} does not match grid {self.grid.shape}")
 
-    @property
+    @functools.cached_property
     def magnitude(self) -> np.ndarray:
+        """|values|, computed once per pattern: ``values`` must not be modified in place."""
         return np.abs(self.values)
 
 

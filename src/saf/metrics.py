@@ -101,15 +101,14 @@ def mask_main_lobe(pattern: Pattern, peak: Peak) -> MainLobeMask:
     mag = pattern.magnitude
     mask = np.zeros(mag.shape, dtype=bool)
     mask[peak.iv, peak.iu] = True
-    while True:
-        grown = mask.copy()
-        grown[1:, :] |= mask[:-1, :] & (mag[1:, :] <= mag[:-1, :])
-        grown[:-1, :] |= mask[1:, :] & (mag[:-1, :] <= mag[1:, :])
-        grown[:, 1:] |= mask[:, :-1] & (mag[:, 1:] <= mag[:, :-1])
-        grown[:, :-1] |= mask[:, 1:] & (mag[:, :-1] <= mag[:, 1:])
-        if grown.sum() == mask.sum():
-            return MainLobeMask(mask=mask, peak=peak)
-        mask = grown
+    size = 0
+    while (count := mask.sum()) > size:
+        size = count
+        mask[1:, :] |= mask[:-1, :] & (mag[1:, :] <= mag[:-1, :])
+        mask[:-1, :] |= mask[1:, :] & (mag[:-1, :] <= mag[1:, :])
+        mask[:, 1:] |= mask[:, :-1] & (mag[:, 1:] <= mag[:, :-1])
+        mask[:, :-1] |= mask[:, 1:] & (mag[:, :-1] <= mag[:, 1:])
+    return MainLobeMask(mask=mask, peak=peak)
 
 
 def pslr(pattern: Pattern, fov: Optional[FovRect] = None) -> float:
@@ -118,17 +117,16 @@ def pslr(pattern: Pattern, fov: Optional[FovRect] = None) -> float:
     Both maxima are restricted to the FOV. Returns ``math.inf`` when nothing
     remains outside the main lobe (single-lobe pattern).
     """
+    peak = find_peak(pattern, fov)
     visible = _visible(pattern, fov)
     mag = pattern.magnitude
-    levels = np.unique(mag[visible])
-    if levels.size < 2 or levels[-1] - levels[0] <= levels[-1] * 1e-12:
+    if peak.magnitude - mag.min(where=visible, initial=peak.magnitude) <= peak.magnitude * 1e-12:
         raise ValueError("degenerate pattern: all magnitudes equal inside the FOV")
-    peak = find_peak(pattern, fov)
     lobe = mask_main_lobe(pattern, peak)
-    residual = mag[visible & ~lobe.mask]
-    if residual.size == 0 or residual.max() <= 0.0:
+    sidelobe = float(mag.max(where=visible & ~lobe.mask, initial=0.0))
+    if sidelobe <= 0.0:
         return math.inf
-    return 20.0 * math.log10(peak.magnitude / float(residual.max()))
+    return 20.0 * math.log10(peak.magnitude / sidelobe)
 
 
 def theoretical_beamwidths(L_lambda: float) -> tuple[float, float]:
@@ -147,8 +145,8 @@ def theoretical_beamwidths(L_lambda: float) -> tuple[float, float]:
     return fnbw, hpbw
 
 
-def measured_hpbw(pattern: Pattern, axis: str = "u") -> float:
-    """Half-power beamwidth in degrees, measured on an axis cut through the peak.
+def measured_hpbw(pattern: Pattern, peak: Peak, axis: str = "u") -> float:
+    """Half-power beamwidth in degrees, measured on an axis cut through ``peak``.
 
     Walks outward from the peak to the -3 dB level on both sides, linearly
     interpolating in u (or v) between the bracketing samples, then converts
@@ -157,7 +155,6 @@ def measured_hpbw(pattern: Pattern, axis: str = "u") -> float:
     if axis not in ("u", "v"):
         raise ValueError(f"axis must be 'u' or 'v', got {axis!r}")
     ax = "uv".index(axis)
-    peak = find_peak(pattern)
     mag = pattern.magnitude
     # The v cut through the peak is the u cut of the transposed pattern.
     nodes = (peak.iu, peak.iv)
@@ -322,7 +319,7 @@ def evaluate_layout(
     pattern = beamform(vrx, snapshot, grid)
 
     pslr_db = pslr(pattern, fov)
-    peak = find_peak(pattern, fov)
+    peak = find_peak(pattern, fov)  # pslr's peak: the beamwidth cuts go through it too
 
     coords = vrx.positions_wavelengths()
     ms, ns = zip(*vrx.vrx_positions)
@@ -353,7 +350,7 @@ def evaluate_layout(
 
     def measure(axis: str) -> Optional[float]:
         try:
-            return measured_hpbw(pattern, axis)
+            return measured_hpbw(pattern, peak, axis)
         except ValueError:
             return None
 

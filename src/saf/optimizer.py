@@ -192,30 +192,25 @@ def snap_to_grid(
     positions: Sequence[float],
     grid: GridSpec,
     occupied: Optional[set[int]] = None,
-    axis: str = "y",
+    axis: int = 0,
 ) -> list[int]:
-    """Round 1-D wavelength positions to free grid nodes along one axis.
+    """Round 1-D wavelength positions to free grid nodes along one axis (0 = y, 1 = z).
 
     Each position rounds to its nearest node; when the node is taken, the
     later element (input order) moves outward alternately (+1, -1, +2, -2, ...)
     to the nearest free node.
     """
-    if axis not in ("y", "z"):
-        raise ValueError(f"axis must be 'y' or 'z', got {axis!r}")
-    d = grid.d_y if axis == "y" else grid.d_z
-    limit = grid.M if axis == "y" else grid.N
+    d = (grid.d_y, grid.d_z)[axis]
+    limit = (grid.M, grid.N)[axis]
     taken = set(occupied) if occupied else set()
     out = []
     for x in positions:
         want = int(math.floor(x / d + 0.5))
-        node = None
         for k in range(2 * limit + 1):
-            offset = (k + 1) // 2 * (1 if k % 2 == 1 else -1) if k else 0
-            cand = want + offset
-            if 0 <= cand < limit and cand not in taken:
-                node = cand
+            node = want + (k + 1) // 2 * (1 if k % 2 == 1 else -1)
+            if 0 <= node < limit and node not in taken:
                 break
-        if node is None:
+        else:
             raise ValueError(f"no free grid node for position {x}")
         taken.add(node)
         out.append(node)
@@ -417,7 +412,7 @@ def _place_lines(
         cross_node = min(cross_node, limit[cross] - 1)
         wavelengths = _line_positions(count, extent[axis], d_min[axis], use_hia)
         taken = {p[axis] for p in occupied if p[cross] == cross_node}
-        nodes = snap_to_grid(wavelengths, grid, occupied=taken, axis="yz"[axis])
+        nodes = snap_to_grid(wavelengths, grid, occupied=taken, axis=axis)
         coords = [(node, cross_node) if axis == 0 else (cross_node, node) for node in nodes]
         occupied.update(coords)
         placed.extend(coords)
@@ -467,9 +462,15 @@ def optimize(spec: DesignSpec) -> tuple[ArrayLayout, OptimizerTrace]:
     """
     grid, _virtual = derive_grid(spec)
     rng = np.random.default_rng(spec.seed)
-    layout = _initial_layout(spec, grid)
     eval_grid = scoring_grid(grid, spec.q_phi, spec.q_theta)
     fov = target_fov(spec)
+    for name, samples, (lo, hi), q in zip("uv", (eval_grid.u_samples, eval_grid.v_samples),
+                                          (fov[:2], fov[2:]), ("q_phi", "q_theta")):
+        inside = np.count_nonzero((samples >= lo - _EPS) & (samples <= hi + _EPS))
+        if inside < min(2, samples.size):  # a linear array's v = 0 cut has one sample
+            raise InfeasibleSpecError(f"the target uFOV holds {inside} scoring sample(s) along "
+                                      f"{name}, too few for a PSLR; raise {q}")
+    layout = _initial_layout(spec, grid)
     broadside = [Target(0.0, 0.0, 1.0 + 0.0j)]
 
     def score(lay: ArrayLayout) -> float:

@@ -1,5 +1,6 @@
 """Shared builders and independent oracles for the test suite."""
 
+import math
 from collections import deque
 
 import numpy as np
@@ -61,6 +62,27 @@ def reference_main_lobe(mag, iv, iu):
                 mask[ni, nj] = True
                 queue.append((ni, nj))
     return mask
+
+
+def reference_pslr(mag, visible):
+    """PSLR in dB of magnitudes ``mag`` inside the boolean ``visible`` region.
+
+    An oracle independent of ``pslr``: a pattern with one distinct level in
+    the region (or a relative spread of at most 1e-12) raises ValueError; the
+    peak is the first maximum in (v, u) order; the main lobe is
+    ``reference_main_lobe`` from it; the sidelobe level is the largest visible
+    magnitude left outside the lobe, and the PSLR is inf when none above 0 is.
+    """
+    mag = np.asarray(mag)
+    levels = np.unique(mag[visible])
+    if levels.size < 2 or levels[-1] - levels[0] <= levels[-1] * 1e-12:
+        raise ValueError("degenerate pattern")
+    peak = levels[-1]
+    iv, iu = min(zip(*np.nonzero(visible & (mag == peak))))
+    residual = mag[visible & ~reference_main_lobe(mag, iv, iu)]
+    if residual.size == 0 or residual.max() <= 0.0:
+        return math.inf
+    return 20.0 * math.log10(peak / residual.max())
 
 
 def dirichlet_magnitude(n: int, d_lambda: float, u):

@@ -24,6 +24,7 @@ from saf import (
     bw_spreading_factor,
     check_forbidden_zones,
     check_overlap,
+    find_peak,
     grating_lobe_angles,
     hia_init,
     make_uv_cut,
@@ -133,14 +134,14 @@ def test_criterion_05_beamwidth_consistency():
     pattern = beamform(
         vrx, synthesize_snapshot(vrx, [Target(0, 0)]), make_uv_cut(vrx.grid.M, 16)
     )
-    w32 = measured_hpbw(pattern, "u")
+    w32 = measured_hpbw(pattern, find_peak(pattern), "u")
     assert abs(w32 - theory) / theory < 0.05
 
     vrx2 = build_virtual_array(ula_layout(129))
     pattern2 = beamform(
         vrx2, synthesize_snapshot(vrx2, [Target(0, 0)]), make_uv_cut(vrx2.grid.M, 16)
     )
-    w64 = measured_hpbw(pattern2, "u")
+    w64 = measured_hpbw(pattern2, find_peak(pattern2), "u")
     assert abs(w64 - w32 / 2) / (w32 / 2) < 0.05
     _report(5, f"measured HPBW {w32:.4f} deg within 5% of {theory:.4f}, and halves with doubled aperture")
 

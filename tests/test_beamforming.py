@@ -176,6 +176,11 @@ class TestBeamform:
         assert np.abs(pattern.values[0, 10]) == pytest.approx(8.0, abs=1e-9)
         assert pattern.magnitude.max() == pytest.approx(8.0, abs=1e-9)
 
+    def test_magnitude_is_computed_once(self):
+        vrx = build_virtual_array(ula_layout(4))
+        pattern = beamform(vrx, synthesize_snapshot(vrx, [Target(0, 0)]), make_uv_cut(vrx.grid.M, 2))
+        assert pattern.magnitude is pattern.magnitude
+
     def test_zero_snapshot(self):
         vrx = build_virtual_array(ula_layout(4))
         grid = make_uv_cut(vrx.grid.M, 2)

@@ -333,6 +333,10 @@ def _saf_log(tmp_path, monkeypatch):
                      2, "config.target_ufov_az", id="config-float-as-bool"),
         pytest.param(lambda t, m: _design(t, enforced_tx=[[0.9, 0]]), 2, "config.enforced_tx[0]",
                      id="config-coordinate-as-float"),
+        # At q_phi 4 a 1-degree uFOV holds a single u sample: no PSLR to optimize.
+        pytest.param(lambda t, m: _design(t, target_ufov_az=1.0,
+                                          target_hpbw_az=math.degrees(0.886 / 400)),
+                     2, "q_phi", id="design-ufov-below-two-samples"),
         pytest.param(lambda t, m: _evaluate(t, {**layout_to_dict(ula_layout(4)),
                                                 "grid": {"d_y": 0.5, "d_z": 0.5, "M": 4.5, "N": 1}}),
                      2, "grid.M", id="layout-grid-size-as-float"),
@@ -364,6 +368,11 @@ def test_invalid_outer_loop_point_exits_2_before_optimizing(point, message, tmp_
     err = capsys.readouterr().err
     assert "outer_loop[1]" in err and message in err
     assert not (tmp_path / "o").exists()
+
+
+def test_narrow_ufov_designs_when_finely_sampled(tmp_path):
+    config = {"target_ufov_az": 1.0, "q_phi": 64, "target_hpbw_az": math.degrees(0.886 / 400)}
+    assert main(_design(tmp_path, **config)) == 0
 
 
 def test_spec_hash_covers_the_command_line_overrides(tmp_path):

@@ -29,7 +29,7 @@ from saf import (
     ufov,
     virtual_coverage_area,
 )
-from conftest import dirichlet_magnitude, reference_main_lobe, ula_layout
+from conftest import dirichlet_magnitude, reference_main_lobe, reference_pslr, ula_layout
 
 
 def ula_pattern(n, d_y=0.5, q=8, target=Target(0.0, 0.0)):
@@ -132,9 +132,39 @@ class TestPslr:
         values[4] = 3.0
         assert pslr(synthetic_cut(values)) == math.inf
 
-    def test_degenerate_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            pslr(synthetic_cut(np.full(9, 2.0)))
+    # u samples of the 9-node cut: -1, -7/9, ..., 7/9; the FOV keeps nodes 2..6.
+    @pytest.mark.parametrize("values, fov", [
+        (np.full(9, 2.0), None),
+        ([5.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 3.0, 0.5], (-0.6, 0.4, -1.0, 1.0)),
+    ], ids=["flat", "flat-inside-fov"])
+    def test_degenerate_pattern_rejected(self, values, fov):
+        with pytest.raises(ValueError, match="degenerate"):
+            pslr(synthetic_cut(values), fov)
+
+    # Few distinct levels: ties, plateaus, flat FOVs and empty residuals are common.
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(float, st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                  elements=st.sampled_from([0.0, 1.0, 2.0, 3.0])),
+           st.one_of(st.none(), st.lists(st.floats(-1.1, 1.1), min_size=4, max_size=4)))
+    def test_matches_reference(self, mag, edges):
+        n_v, n_u = mag.shape
+        pattern = Pattern(make_uv_grid(n_u, n_v, 1, 1), mag.astype(complex),
+                          build_virtual_array(ula_layout(2)))
+        uu = pattern.grid.u_samples[None, :]
+        vv = pattern.grid.v_samples[:, None]
+        visible = uu * uu + vv * vv <= 1.0 + 1e-12
+        fov = None
+        if edges is not None:
+            fov = (*sorted(edges[:2]), *sorted(edges[2:]))
+            visible &= (uu >= fov[0] - 1e-12) & (uu <= fov[1] + 1e-12)
+            visible &= (vv >= fov[2] - 1e-12) & (vv <= fov[3] + 1e-12)
+        try:
+            expected = reference_pslr(mag, visible)
+        except ValueError:
+            with pytest.raises(ValueError):
+                pslr(pattern, fov)
+        else:
+            assert pslr(pattern, fov) == expected
 
     def test_scale_invariance(self):
         vrx = build_virtual_array(ula_layout(16))
@@ -166,27 +196,29 @@ class TestBeamwidths:
 
     def test_measured_matches_theory_for_32_wavelengths(self):
         pattern = ula_pattern(65, q=16)
-        measured = measured_hpbw(pattern, "u")
+        measured = measured_hpbw(pattern, find_peak(pattern), "u")
         theory = math.degrees(0.886 / 32.0)
         assert abs(measured - theory) / theory < 0.05
 
     def test_doubling_aperture_halves_width(self):
-        w65 = measured_hpbw(ula_pattern(65, q=16), "u")
-        w129 = measured_hpbw(ula_pattern(129, q=16), "u")
+        p65, p129 = ula_pattern(65, q=16), ula_pattern(129, q=16)
+        w65 = measured_hpbw(p65, find_peak(p65), "u")
+        w129 = measured_hpbw(p129, find_peak(p129), "u")
         assert abs(w129 - w65 / 2) / (w65 / 2) < 0.05
 
     def test_scale_invariance(self):
         vrx = build_virtual_array(ula_layout(33))
         grid = make_uv_cut(vrx.grid.M, 16)
         snap = synthesize_snapshot(vrx, [Target(0, 0)])
-        w1 = measured_hpbw(beamform(vrx, snap, grid), "u")
-        w2 = measured_hpbw(beamform(vrx, 123.0 * snap, grid), "u")
+        p1, p2 = beamform(vrx, snap, grid), beamform(vrx, 123.0 * snap, grid)
+        w1 = measured_hpbw(p1, find_peak(p1), "u")
+        w2 = measured_hpbw(p2, find_peak(p2), "u")
         assert w1 == pytest.approx(w2, abs=1e-12)
 
     def test_too_coarse_grid_rejected(self):
         pattern = ula_pattern(33, q=1)
         with pytest.raises(ValueError):
-            measured_hpbw(pattern, "u")
+            measured_hpbw(pattern, find_peak(pattern), "u")
 
     def test_elevation_axis_cut(self):
         # square URA sampled in 2-D; the v-axis cut mirrors the u-axis cut
@@ -203,8 +235,9 @@ class TestBeamwidths:
         vrx = build_virtual_array(layout)
         uv = make_uv_grid(vrx.grid.M, vrx.grid.N, 8, 8)
         pattern = beamform(vrx, synthesize_snapshot(vrx, [Target(0, 0)]), uv)
-        wu = measured_hpbw(pattern, "u")
-        wv = measured_hpbw(pattern, "v")
+        peak = find_peak(pattern)
+        wu = measured_hpbw(pattern, peak, "u")
+        wv = measured_hpbw(pattern, peak, "v")
         assert wu == pytest.approx(wv, rel=1e-6)
 
 
@@ -329,3 +362,21 @@ class TestEvaluateLayout:
         # the shared-aperture ideal per axis: 4x4 / (4 * 4x4) = 0.25
         assert report.aperture_loss_factor == pytest.approx(0.25)
         assert report.to_dict()["hpbw_az_one_sided_deg"] == pytest.approx(report.hpbw_az / 2)
+
+    def test_beamwidths_are_cut_through_the_fov_peak(self):
+        # With d_z = 1 the real-angle disk also peaks at the v = -1 grating lobe,
+        # whose u cut leaves the disk; the FOV peak is the broadside one.
+        from saf import ArrayLayout, ElementSize, GridSpec
+
+        layout = ArrayLayout(
+            GridSpec(0.5, 1.0, 8, 4),
+            [(0, n) for n in range(4)],
+            [(m, 0) for m in range(8)],
+            ElementSize(0.1, 0.1),
+            ElementSize(0.1, 0.1),
+        )
+        fov = (-1.0, 1.0, -0.5, 0.5)
+        pattern, report = evaluate_layout(layout, q_phi=4, q_theta=4, fov=fov)
+        assert None not in (report.hpbw_az, report.hpbw_el,
+                            report.bw_spreading_az, report.bw_spreading_el)
+        assert report.hpbw_az == measured_hpbw(pattern, find_peak(pattern, fov), "u")

@@ -294,6 +294,13 @@ class TestOptimize:
         with pytest.raises(InfeasibleSpecError):
             optimize(linear_spec(n_tx=40, n_rx=40, tx_size=ElementSize(2.0, 2.0)))
 
+    def test_ufov_below_two_elevation_samples_rejected(self):
+        # d_z = 1/(2 sin 1 deg) over a 70-wavelength aperture: 24 v samples, one of them in the uFOV
+        spec = linear_spec(dimensionality="2D", target_ufov_el=1.0,
+                           target_hpbw_el=math.degrees(0.886 / 70.0005))
+        with pytest.raises(InfeasibleSpecError, match="1 scoring sample.* along v.*q_theta"):
+            optimize(spec)
+
     def test_final_exceeds_initial_with_budget(self):
         layout, trace = optimize(linear_spec(k_max=400, seed=3))
         assert trace.final_pslr_db > trace.initial_pslr_db
