@@ -47,6 +47,7 @@ from .metrics import (
     measured_hpbw,
     min_axis_spacing,
     pslr,
+    scoring_fov,
     scoring_grid,
     theoretical_beamwidths,
     ufov,
@@ -63,7 +64,6 @@ from .optimizer import (
     outer_loop,
     propose_candidate,
     snap_to_grid,
-    target_fov,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -29,7 +29,7 @@ from .io import (
     write_trace_jsonl,
 )
 from .metrics import evaluate_layout
-from .optimizer import optimize, outer_loop, target_fov
+from .optimizer import optimize, outer_loop
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -105,9 +105,7 @@ def cmd_design(args) -> int:
         spec, layout, trace = outer_loop(spec, outer, threads=args.threads)
     else:
         layout, trace = optimize(spec)
-    pattern, report = evaluate_layout(
-        layout, q_phi=spec.q_phi, q_theta=spec.q_theta, fov=target_fov(spec)
-    )
+    pattern, report = evaluate_layout(layout, q_phi=spec.q_phi, q_theta=spec.q_theta)
 
     args.out.mkdir(parents=True, exist_ok=True)
     names = ["layout.json", "trace.jsonl", "metrics.json", "pattern.csv", "manifest.json"]

@@ -44,6 +44,8 @@ class GridSpec:
             raise ValueError(f"grid spacings must be positive, got ({self.d_y}, {self.d_z})")
         if self.M < 1 or self.N < 1:
             raise ValueError(f"grid dimensions must be >= 1, got ({self.M}, {self.N})")
+        if not np.isfinite([self.extent_y, self.extent_z]).all():
+            raise ValueError(f"grid extent must be finite, got ({self.extent_y}, {self.extent_z})")
 
     @property
     def extent_y(self) -> float:

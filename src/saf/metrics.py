@@ -48,15 +48,14 @@ class Peak:
 
 @dataclass(frozen=True)
 class MainLobeMask:
-    """Boolean main-lobe membership over the pattern grid, with its peak node."""
+    """Boolean main-lobe membership over the pattern grid."""
 
     mask: np.ndarray
-    peak: Peak
 
 
-def _visible(pattern: Pattern, fov: Optional[FovRect]) -> np.ndarray:
-    uu = pattern.grid.u_samples[None, :]
-    vv = pattern.grid.v_samples[:, None]
+def _visible(grid: UVGrid, fov: Optional[FovRect]) -> np.ndarray:
+    uu = grid.u_samples[None, :]
+    vv = grid.v_samples[:, None]
     visible = uu * uu + vv * vv <= 1.0 + _EPS
     if fov is not None:
         u_min, u_max, v_min, v_max = fov
@@ -76,12 +75,18 @@ def scoring_grid(grid: GridSpec, q_phi: int, q_theta: int) -> UVGrid:
     return make_uv_grid(2 * grid.M - 1, 2 * grid.N - 1, q_phi, q_theta)
 
 
+def scoring_fov(grid: GridSpec) -> FovRect:
+    """Scoring rectangle of ``grid``: per axis ``±min(1, 1/(2 d))``, the sine of ``ufov(d)``."""
+    su, sv = (min(1.0, 1.0 / (2.0 * d)) for d in (grid.d_y, grid.d_z))
+    return (-su, su, -sv, sv)
+
+
 def find_peak(pattern: Pattern, fov: Optional[FovRect] = None) -> Peak:
     """Maximum magnitude inside the FOV (default: the real-angle disk u^2+v^2 <= 1).
 
     Ties resolve to the smallest (v index, u index).
     """
-    visible = _visible(pattern, fov)
+    visible = _visible(pattern.grid, fov)
     if not visible.any():
         raise ValueError("FOV does not intersect the pattern grid")
     mag = np.where(visible, pattern.magnitude, -1.0)
@@ -108,7 +113,7 @@ def mask_main_lobe(pattern: Pattern, peak: Peak) -> MainLobeMask:
         mask[:-1, :] |= mask[1:, :] & (mag[:-1, :] <= mag[1:, :])
         mask[:, 1:] |= mask[:, :-1] & (mag[:, 1:] <= mag[:, :-1])
         mask[:, :-1] |= mask[:, 1:] & (mag[:, :-1] <= mag[:, 1:])
-    return MainLobeMask(mask=mask, peak=peak)
+    return MainLobeMask(mask=mask)
 
 
 def pslr(pattern: Pattern, fov: Optional[FovRect] = None) -> float:
@@ -118,7 +123,7 @@ def pslr(pattern: Pattern, fov: Optional[FovRect] = None) -> float:
     remains outside the main lobe (single-lobe pattern).
     """
     peak = find_peak(pattern, fov)
-    visible = _visible(pattern, fov)
+    visible = _visible(pattern.grid, fov)
     mag = pattern.magnitude
     if peak.magnitude - mag.min(where=visible, initial=peak.magnitude) <= peak.magnitude * 1e-12:
         raise ValueError("degenerate pattern: all magnitudes equal inside the FOV")
@@ -302,14 +307,14 @@ def evaluate_layout(
     q_phi: int = 8,
     q_theta: int = 8,
     targets: Optional[Sequence[Target]] = None,
-    fov: Optional[FovRect] = None,
 ) -> tuple[Pattern, MetricsReport]:
     """Beamform a layout against a target set and assemble its metrics report.
 
     Defaults to a single unit broadside target. Linear layouts (single grid
-    row) are scored on the v = 0 azimuth cut. The thinning-ratio reference is
-    the fully populated grid covering the VRX bounding box, and aperture areas
-    are bounding boxes of element centers.
+    row) are scored on the v = 0 azimuth cut. The PSLR, its peak and the
+    beamwidth cuts through that peak lie in ``scoring_fov(layout.grid)``, as
+    in the optimizer. The thinning-ratio reference is the fully populated grid
+    covering the VRX bounding box; aperture areas are element-center boxes.
     """
     vrx = build_virtual_array(layout)
     grid = scoring_grid(layout.grid, q_phi, q_theta)
@@ -318,6 +323,7 @@ def evaluate_layout(
     snapshot = synthesize_snapshot(vrx, targets)
     pattern = beamform(vrx, snapshot, grid)
 
+    fov = scoring_fov(layout.grid)
     pslr_db = pslr(pattern, fov)
     peak = find_peak(pattern, fov)  # pslr's peak: the beamwidth cuts go through it too
 

@@ -31,7 +31,7 @@ from .geometry import (
     check_overlap,
     element_conflicts,
 )
-from .metrics import FovRect, pslr, scoring_grid
+from .metrics import _visible, pslr, scoring_fov, scoring_grid
 
 # Span (dB) of the last three best-PSLR checkpoints below which the search
 # is declared converged.
@@ -442,20 +442,13 @@ def _initial_layout(spec: DesignSpec, grid: GridSpec) -> ArrayLayout:
     return _repair(layout, spec.zones)
 
 
-def target_fov(spec: DesignSpec) -> FovRect:
-    """Sine-space rectangle of the target uFOV: (-sin az, sin az, -sin el, sin el)."""
-    su = math.sin(math.radians(spec.target_ufov_az))
-    sv = math.sin(math.radians(spec.target_ufov_el))
-    return (-su, su, -sv, sv)
-
-
 def optimize(spec: DesignSpec) -> tuple[ArrayLayout, OptimizerTrace]:
     """Run the randomized PSLR search for a design spec.
 
     Seeds from the spacing-progression initialization snapped to the derived
     reference grid, then iterates shuffle/perturb proposals, accepting only
     strict PSLR improvements of a single broadside unit-target pattern scored
-    inside the target FOV. Stops on budget, on reaching the desired PSLR, or
+    inside the grid's uFOV. Stops on budget, on reaching the desired PSLR, or
     on plateau: the best PSLR is sampled every ``plateau_interval`` iterations
     and the run ends when the last three samples agree within 0.5 dB.
     Identical spec and seed give an identical trace.
@@ -463,11 +456,11 @@ def optimize(spec: DesignSpec) -> tuple[ArrayLayout, OptimizerTrace]:
     grid, _virtual = derive_grid(spec)
     rng = np.random.default_rng(spec.seed)
     eval_grid = scoring_grid(grid, spec.q_phi, spec.q_theta)
-    fov = target_fov(spec)
-    for name, samples, (lo, hi), q in zip("uv", (eval_grid.u_samples, eval_grid.v_samples),
-                                          (fov[:2], fov[2:]), ("q_phi", "q_theta")):
-        inside = np.count_nonzero((samples >= lo - _EPS) & (samples <= hi + _EPS))
-        if inside < min(2, samples.size):  # a linear array's v = 0 cut has one sample
+    fov = scoring_fov(grid)
+    visible = _visible(eval_grid, fov)
+    for name, lines, q in zip("uv", (visible.any(0), visible.any(1)), ("q_phi", "q_theta")):
+        inside = np.count_nonzero(lines)
+        if inside < min(2, lines.size):  # a linear array's v = 0 cut has one sample
             raise InfeasibleSpecError(f"the target uFOV holds {inside} scoring sample(s) along "
                                       f"{name}, too few for a PSLR; raise {q}")
     layout = _initial_layout(spec, grid)

@@ -24,6 +24,13 @@ from saf.geometry import ZONE_KINDS
 from conftest import linear_layout, small_size
 
 
+@pytest.mark.parametrize("d_y, M", [(float("inf"), 4), (float("inf"), 1), (1e308, 8)])
+def test_grid_extent_must_be_finite(d_y, M):
+    # An infinite spacing on a single node has a NaN extent, 0 * inf.
+    with pytest.raises(ValueError, match="extent must be finite"):
+        GridSpec(d_y, 0.5, M, 1)
+
+
 class TestVirtualArray:
     def test_distinct_sums(self):
         layout = linear_layout(rx_nodes=[0, 2], tx_nodes=[0, 1], M=8)

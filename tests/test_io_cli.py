@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from saf import (
+    ArrayLayout,
     ElementSize,
     ForbiddenZone,
+    GridSpec,
     Pattern,
     Target,
     beamform,
@@ -21,6 +25,7 @@ from saf.io import (
     SchemaError,
     layout_from_dict,
     layout_to_dict,
+    load_design_config,
     load_layout,
     read_trace_summary,
     save_layout,
@@ -271,6 +276,14 @@ def _evaluate(tmp_path, layout):
     return ["evaluate", "--layout", _file(tmp_path, "layout.json", layout), "--out", str(tmp_path / "o")]
 
 
+def _planar(d_y):
+    """An 8x4 planar layout as JSON, on a grid of y spacing ``d_y``."""
+    layout = ArrayLayout(GridSpec(0.5, 1.0, 8, 4), [(0, n) for n in range(4)],
+                         [(m, 0) for m in range(8)], ElementSize(0.1, 0.1), ElementSize(0.1, 0.1))
+    raw = layout_to_dict(layout)
+    return {**raw, "grid": {**raw["grid"], "d_y": d_y}}
+
+
 def _design(tmp_path, **overrides):
     config = _file(tmp_path, "design.json", design_config(**overrides))
     return ["design", "--config", config, "--out", str(tmp_path / "o")]
@@ -343,6 +356,13 @@ def _saf_log(tmp_path, monkeypatch):
         pytest.param(lambda t, m: _evaluate(t, {**layout_to_dict(ula_layout(4)),
                                                 "rx": [[0, 0], [1, 0], [2, 0], [3.2, 0]]}),
                      2, "rx[3]", id="layout-coordinate-as-float"),
+        # A grid whose extent is not finite, in the layout or in its virtual grid.
+        pytest.param(lambda t, m: _evaluate(t, _planar(math.inf)), 2, "extent",
+                     id="layout-grid-spacing-infinite"),
+        pytest.param(lambda t, m: _evaluate(t, _planar(1e308)), 2, "extent",
+                     id="layout-grid-extent-overflows"),
+        pytest.param(lambda t, m: _evaluate(t, _planar(1.5e307)), 2, "extent",
+                     id="layout-virtual-grid-extent-overflows"),
     ],
 )
 def test_exit_code_contract(argv, code, field, tmp_path, monkeypatch, capsys):
@@ -373,6 +393,19 @@ def test_invalid_outer_loop_point_exits_2_before_optimizing(point, message, tmp_
 def test_narrow_ufov_designs_when_finely_sampled(tmp_path):
     config = {"target_ufov_az": 1.0, "q_phi": 64, "target_hpbw_az": math.degrees(0.886 / 400)}
     assert main(_design(tmp_path, **config)) == 0
+
+
+def test_evaluate_reproduces_the_design_metrics(tmp_path):
+    # A 30-degree elevation uFOV gives d_z = 1: the v = +-1 grating lobes equal the main
+    # lobe, and both commands score inside the grid's uFOV, |v| <= 0.5, where they are absent.
+    assert main(_design(tmp_path, dimensionality="2D", target_ufov_el=30.0,
+                        target_hpbw_el=math.degrees(0.886 / 6.0005), q_theta=4)) == 0
+    evaluated = tmp_path / "e"
+    assert main(["evaluate", "--layout", str(tmp_path / "o" / "layout.json"),
+                 "--out", str(evaluated), "--grid-oversample", "4"]) == 0
+    designed = json.loads((tmp_path / "o" / "metrics.json").read_text())
+    assert designed["pslr_db"] > 0.0
+    assert json.loads((evaluated / "metrics.json").read_text()) == designed
 
 
 def test_spec_hash_covers_the_command_line_overrides(tmp_path):
@@ -475,3 +508,74 @@ class TestReportCommand:
         assert summary.iterations == len(trace.records)
         assert summary.final_pslr_db == pytest.approx(trace.final_pslr_db)
         assert summary.termination == trace.termination
+
+
+# Arbitrary JSON, weighted towards the values a reader is most likely to mishandle.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([math.inf, -math.inf, 1e308, -1e308]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_ZONE = {"y_mc": 0.5, "z_mc": 0.5, "center": [2, 0], "kind": "tx-excluded"}
+_LAYOUT = {**_planar(0.5), "enforced_tx": [[0, 0]], "zones": [_ZONE]}
+_CONFIG = design_config(zones=[_ZONE], enforced_tx=[[0, 0]],
+                        outer_loop=[{"intensity": 2, "zones": [], "target_ufov_az": 60.0}])
+
+
+def _paths(value, path=()):
+    """Every location in a JSON value: the value itself, then its members, recursively."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _paths(item, path + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+def _one_field_fuzzed(valid, paths):
+    return st.sampled_from(paths).flatmap(lambda path: _JSON.map(lambda new: _replaced(valid, path, new)))
+
+
+_FUZZ = settings(max_examples=300, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestReadersOnFuzzedInput:
+    """One field of a valid file replaced by arbitrary JSON: each reader returns or raises
+    ValueError. Nothing here designs or evaluates: a fuzzed grid can be arbitrarily large."""
+
+    @_FUZZ
+    @given(raw=_one_field_fuzzed(_LAYOUT, list(_paths(_LAYOUT))))
+    def test_layout(self, raw, tmp_path):
+        try:
+            load_layout(_file(tmp_path, "layout.json", raw))
+        except ValueError:
+            pass
+
+    @_FUZZ
+    @given(raw=_one_field_fuzzed(_CONFIG, list(_paths(_CONFIG))))
+    def test_design_config(self, raw, tmp_path):
+        try:
+            load_design_config(_file(tmp_path, "design.json", raw))
+        except ValueError:
+            pass
+
+    @_FUZZ
+    @given(records=_one_field_fuzzed([_META, _ITERATION, _SUMMARY],
+                                     list(_paths([_META, _ITERATION, _SUMMARY]))[1:]))
+    def test_trace_and_report(self, records, tmp_path, capsys):
+        argv = _report(tmp_path, *records)
+        try:
+            read_trace_summary(argv[-1])
+        except ValueError:
+            pass
+        assert main(argv) in (0, 2)
+        err = capsys.readouterr().err
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)

@@ -24,6 +24,7 @@ from saf import (
     measured_hpbw,
     min_axis_spacing,
     pslr,
+    scoring_fov,
     synthesize_snapshot,
     theoretical_beamwidths,
     ufov,
@@ -288,6 +289,12 @@ class TestUfov:
         with pytest.raises(ValueError):
             ufov(0.0)
 
+    def test_scoring_fov_is_the_sine_of_the_ufov(self):
+        from saf import GridSpec
+
+        sv = math.sin(math.radians(ufov(2.0)))
+        assert scoring_fov(GridSpec(0.3, 2.0, 4, 4)) == pytest.approx((-1.0, 1.0, -sv, sv), abs=1e-15)
+
 
 class TestEfficiencyFactors:
     def full(self):
@@ -376,7 +383,7 @@ class TestEvaluateLayout:
             ElementSize(0.1, 0.1),
         )
         fov = (-1.0, 1.0, -0.5, 0.5)
-        pattern, report = evaluate_layout(layout, q_phi=4, q_theta=4, fov=fov)
+        pattern, report = evaluate_layout(layout, q_phi=4, q_theta=4)
         assert None not in (report.hpbw_az, report.hpbw_el,
                             report.bw_spreading_az, report.bw_spreading_el)
         assert report.hpbw_az == measured_hpbw(pattern, find_peak(pattern, fov), "u")

@@ -19,6 +19,7 @@ from saf import (
     optimize,
     outer_loop,
     propose_candidate,
+    scoring_fov,
     snap_to_grid,
     spacing_ecdf,
 )
@@ -69,6 +70,14 @@ class TestDeriveGrid:
         assert (grid.d_y, grid.d_z) == (0.5, 1.0)
         assert (grid.M, grid.N) == (33, 36)
         assert L_z == pytest.approx(70.0, abs=1e-3)
+
+    def test_scoring_fov_is_the_target_ufov(self):
+        # The derived spacing is rounded to 12 digits; the grid's scoring FOV stays
+        # within the 1e-12 slack of the FOV mask of the target's sine.
+        for tenths in range(5, 901):
+            target = tenths / 10
+            grid, _ = derive_grid(linear_spec(target_ufov_az=target, target_hpbw_az=0.01))
+            assert abs(scoring_fov(grid)[1] - math.sin(math.radians(target))) <= 1e-12, target
 
     def test_sub_wavelength_aperture_rejected(self):
         with pytest.raises(ValueError):
