@@ -3,12 +3,10 @@
 __version__ = "0.1.0"
 
 from .beamforming import (
-    CouplingMatrix,
     Pattern,
     Target,
     UVGrid,
     angles_to_uv,
-    apply_coupling,
     beamform,
     make_uv_cut,
     make_uv_grid,

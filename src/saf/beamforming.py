@@ -19,9 +19,45 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import VirtualArray
+from .geometry import GridSpec, VirtualArray
 
 _UV_EPS = 1e-12
+
+
+# FOV rectangle in sine space: (u_min, u_max, v_min, v_max).
+FovRect = tuple[float, float, float, float]
+
+
+class _PhasorTable:
+    """Phasors exp(-2 pi j k d s) over one axis's samples s, one row per grid index k.
+
+    Each row is built on first use and stored in a buffer that doubles when
+    full, up to one row per index, so the table grows with the indices its
+    VRX use, not with the grid, and is rarely copied. A row is the same float
+    product (k d) s and the same ``exp`` as a per-call evaluation over VRX
+    coordinates k d, so a gathered row has the same bits.
+    """
+
+    def __init__(self, samples: np.ndarray, d: float, count: int):
+        self._samples = samples
+        self._d = d
+        self._slot = np.full(count, -1)
+        self._rows = np.empty((0, samples.size), dtype=complex)
+        self._used = 0
+
+    def gather(self, k: np.ndarray) -> np.ndarray:
+        """Rows for the grid indices ``k``, in order, as a new (k.size, samples) array."""
+        new = np.unique(k[self._slot[k] < 0])
+        if new.size:
+            used = self._used + new.size
+            if used > len(self._rows):
+                grown = np.empty((min(self._slot.size, 2 * used), self._samples.size), dtype=complex)
+                grown[:self._used] = self._rows[:self._used]
+                self._rows = grown
+            self._rows[self._used:used] = np.exp(-2j * np.pi * np.outer(new * self._d, self._samples))
+            self._slot[new] = np.arange(self._used, used)
+            self._used = used
+        return self._rows[self._slot[k]]
 
 
 @dataclass(frozen=True)
@@ -31,6 +67,9 @@ class UVGrid:
     From ``make_uv_grid(M, N, q_phi, q_theta)``, ``u_samples`` has M * q_phi
     entries and ``v_samples`` N * q_theta, both covering [-1, 1). ``cut`` grids (the single row v = 0) relax the v formula
     so linear arrays can be scored on their broadside azimuth cut.
+
+    A grid keeps what every pattern on it shares: phasor tables per virtual
+    grid and visibility masks per FOV, each built on first use.
     """
 
     u_samples: np.ndarray
@@ -39,6 +78,44 @@ class UVGrid:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.v_samples.size, self.u_samples.size)
+
+    @functools.cached_property
+    def _phasor_tables(self) -> dict[GridSpec, tuple[_PhasorTable, _PhasorTable]]:
+        return {}
+
+    @functools.cached_property
+    def _visible_masks(self) -> dict[Optional[FovRect], np.ndarray]:
+        return {}
+
+    def phasors(self, virtual: GridSpec) -> tuple[_PhasorTable, _PhasorTable]:
+        """u and v phasor tables for VRX on the ``virtual`` grid."""
+        if virtual not in self._phasor_tables:
+            self._phasor_tables[virtual] = (_PhasorTable(self.u_samples, virtual.d_y, virtual.M),
+                                            _PhasorTable(self.v_samples, virtual.d_z, virtual.N))
+        return self._phasor_tables[virtual]
+
+    def visible(self, fov: Optional[FovRect]) -> np.ndarray:
+        """Read-only mask of the nodes in the real-angle disk and, unless None, the FOV rectangle."""
+        if fov not in self._visible_masks:
+            uu = self.u_samples[None, :]
+            vv = self.v_samples[:, None]
+            visible = uu * uu + vv * vv <= 1.0 + _UV_EPS
+            if fov is not None:
+                u_min, u_max, v_min, v_max = fov
+                visible = visible & (uu >= u_min - _UV_EPS) & (uu <= u_max + _UV_EPS)
+                visible = visible & (vv >= v_min - _UV_EPS) & (vv <= v_max + _UV_EPS)
+            visible.flags.writeable = False
+            self._visible_masks[fov] = visible
+        return self._visible_masks[fov]
+
+
+@dataclass(frozen=True)
+class UVBand(UVGrid):
+    """Consecutive rows of a larger lattice.
+
+    A main lobe that reaches the band's first or last row may continue in
+    the rows beyond it, so ``pslr`` refuses to score it there.
+    """
 
 
 def make_uv_grid(M: int, N: int, q_phi: int, q_theta: int) -> UVGrid:
@@ -98,19 +175,6 @@ class Target:
 
 
 @dataclass(frozen=True)
-class CouplingMatrix:
-    """User-supplied square mutual-coupling matrix applied to snapshots."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"coupling matrix must be square, got shape {m.shape}")
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
 class Pattern:
     """Received-signal pattern over a UVGrid; values indexed [v, u]."""
 
@@ -142,31 +206,20 @@ def synthesize_snapshot(vrx: VirtualArray, targets: Sequence[Target]) -> np.ndar
     return snapshot
 
 
-def apply_coupling(snapshot: np.ndarray, coupling: CouplingMatrix) -> np.ndarray:
-    """Apply a mutual-coupling matrix to a snapshot before beamforming."""
-    snapshot = np.asarray(snapshot, dtype=complex)
-    if coupling.matrix.shape[0] != snapshot.size:
-        raise ValueError(
-            f"coupling matrix size {coupling.matrix.shape[0]} does not match snapshot length {snapshot.size}"
-        )
-    return coupling.matrix @ snapshot
-
-
 def beamform(vrx: VirtualArray, snapshot: np.ndarray, grid: UVGrid) -> Pattern:
     """Beamform a snapshot over a sine-space grid.
 
     Evaluates value(u, v) = sum_p snapshot[p] e^{-j 2 pi (y_p u + z_p v)} using
-    the separable structure of grid-aligned VRX positions: per-element u and v
-    phasor tables combine through one complex matrix product instead of a
-    per-node double loop.
+    the separable structure of grid-aligned VRX positions: the grid's u and v
+    phasor rows of each VRX column and row combine through one complex matrix
+    product instead of a per-node double loop.
     """
     snapshot = np.asarray(snapshot, dtype=complex)
     if snapshot.size != vrx.unique_count:
         raise ValueError(
             f"snapshot length {snapshot.size} does not match VRX count {vrx.unique_count}"
         )
-    coords = vrx.positions_wavelengths()
-    u_phasors = np.exp(-2j * np.pi * np.outer(coords[:, 0], grid.u_samples))
-    v_phasors = np.exp(-2j * np.pi * np.outer(coords[:, 1], grid.v_samples))
-    values = (v_phasors * snapshot[:, None]).T @ u_phasors
+    u_table, v_table = grid.phasors(vrx.grid)
+    m, n = np.array(vrx.vrx_positions).T
+    values = (v_table.gather(n) * snapshot[:, None]).T @ u_table.gather(m)
     return Pattern(grid=grid, values=values, vrx=vrx)

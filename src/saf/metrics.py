@@ -4,6 +4,15 @@ The main-lobe region used by the PSLR is the monotone-descent closure of the
 peak: starting from the peak node, a node joins the region when a 4-connected
 neighbor already in the region has magnitude at least as large. The closure is
 a fixpoint, so the result does not depend on traversal order.
+
+Two shortcuts keep the PSLR exact. ``mask_main_lobe`` fills a window around
+the peak and doubles it while the lobe reaches an edge of the window that is
+not an edge of the grid. ``pslr`` on a ``UVBand`` (the FOV rows of a lattice,
+as the optimizer scores) raises ``LobeLeavesBand`` when the lobe reaches the
+band's first or last row. Both rest on one fact: any node of the closure is
+reached by a descending path from the peak, and a path that leaves a region
+crosses its boundary first. A lobe that touches no open edge of the region
+therefore lies inside it, and the region's closure is the whole closure.
 """
 
 from __future__ import annotations
@@ -16,8 +25,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .beamforming import (
+    FovRect,
     Pattern,
     Target,
+    UVBand,
     UVGrid,
     beamform,
     make_uv_cut,
@@ -31,8 +42,14 @@ log = logging.getLogger(__name__)
 
 _EPS = 1e-12
 
-# FOV rectangle in sine space: (u_min, u_max, v_min, v_max).
-FovRect = tuple[float, float, float, float]
+# Half-width, in nodes, of the first window the main-lobe fill runs in. The
+# main lobes of the README 12x16 design fit it on most candidates at q = 4 and
+# need one doubling at q = 8.
+_LOBE_WINDOW = 8
+
+
+class LobeLeavesBand(Exception):
+    """The main lobe of a ``UVBand`` pattern reaches the band's first or last row."""
 
 
 @dataclass(frozen=True)
@@ -53,17 +70,6 @@ class MainLobeMask:
     mask: np.ndarray
 
 
-def _visible(grid: UVGrid, fov: Optional[FovRect]) -> np.ndarray:
-    uu = grid.u_samples[None, :]
-    vv = grid.v_samples[:, None]
-    visible = uu * uu + vv * vv <= 1.0 + _EPS
-    if fov is not None:
-        u_min, u_max, v_min, v_max = fov
-        visible = visible & (uu >= u_min - _EPS) & (uu <= u_max + _EPS)
-        visible = visible & (vv >= v_min - _EPS) & (vv <= v_max + _EPS)
-    return visible
-
-
 def scoring_grid(grid: GridSpec, q_phi: int, q_theta: int) -> UVGrid:
     """Sine-space lattice a layout on reference ``grid`` is scored on.
 
@@ -81,12 +87,34 @@ def scoring_fov(grid: GridSpec) -> FovRect:
     return (-su, su, -sv, sv)
 
 
+def fov_band(lattice: UVGrid, fov: FovRect) -> UVGrid:
+    """The rows of ``lattice`` that hold FOV nodes, as a ``UVBand``, or ``lattice`` if that is every row."""
+    rows = np.flatnonzero(lattice.visible(fov).any(1))
+    if rows.size == lattice.shape[0]:
+        return lattice
+    return UVBand(lattice.u_samples, lattice.v_samples[rows[0]:rows[-1] + 1])
+
+
+def check_lobe_sampling(grid: GridSpec, q_phi: int, q_theta: int) -> None:
+    """Raise ValueError unless ``scoring_grid`` samples the main lobe at least twice per sampled axis.
+
+    The lattice takes about q / d samples across the null-to-null main-lobe
+    width, so each axis needs ``d <= q / 2``; a linear array's v = 0 cut
+    samples u only. A coarser PSLR would be aliased, and the rule also bounds
+    the grating-lobe lists, about 2 d angles per axis, by the lattice size.
+    """
+    for name, d, q, q_name in (("y", grid.d_y, q_phi, "q_phi"), ("z", grid.d_z, q_theta, "q_theta")):
+        if d > q / 2.0 and (name == "y" or grid.N > 1):
+            raise ValueError(f"grid spacing d_{name} = {d:g} wavelengths exceeds {q_name} / 2 = {q / 2.0:g}: "
+                             f"the scoring lattice samples the main lobe fewer than twice")
+
+
 def find_peak(pattern: Pattern, fov: Optional[FovRect] = None) -> Peak:
     """Maximum magnitude inside the FOV (default: the real-angle disk u^2+v^2 <= 1).
 
     Ties resolve to the smallest (v index, u index).
     """
-    visible = _visible(pattern.grid, fov)
+    visible = pattern.grid.visible(fov)
     if not visible.any():
         raise ValueError("FOV does not intersect the pattern grid")
     mag = np.where(visible, pattern.magnitude, -1.0)
@@ -102,33 +130,52 @@ def find_peak(pattern: Pattern, fov: Optional[FovRect] = None) -> Peak:
 
 
 def mask_main_lobe(pattern: Pattern, peak: Peak) -> MainLobeMask:
-    """Monotone-descent flood fill of the main lobe from the peak node."""
+    """Monotone-descent flood fill of the main lobe from the peak node.
+
+    The fill runs in a window of ``_LOBE_WINDOW`` nodes around the peak and
+    doubles the window while the lobe reaches one of its edges that is not an
+    edge of the grid (see the module docstring for why that is exact).
+    """
     mag = pattern.magnitude
     mask = np.zeros(mag.shape, dtype=bool)
     mask[peak.iv, peak.iu] = True
-    size = 0
-    while (count := mask.sum()) > size:
-        size = count
-        mask[1:, :] |= mask[:-1, :] & (mag[1:, :] <= mag[:-1, :])
-        mask[:-1, :] |= mask[1:, :] & (mag[:-1, :] <= mag[1:, :])
-        mask[:, 1:] |= mask[:, :-1] & (mag[:, 1:] <= mag[:, :-1])
-        mask[:, :-1] |= mask[:, 1:] & (mag[:, :-1] <= mag[:, 1:])
-    return MainLobeMask(mask=mask)
+    radius = _LOBE_WINDOW
+    while True:
+        v0, v1 = max(peak.iv - radius, 0), peak.iv + radius + 1
+        u0, u1 = max(peak.iu - radius, 0), peak.iu + radius + 1
+        lobe, level = mask[v0:v1, u0:u1], mag[v0:v1, u0:u1]
+        size = 0
+        while (count := lobe.sum()) > size:
+            size = count
+            lobe[1:, :] |= lobe[:-1, :] & (level[1:, :] <= level[:-1, :])
+            lobe[:-1, :] |= lobe[1:, :] & (level[:-1, :] <= level[1:, :])
+            lobe[:, 1:] |= lobe[:, :-1] & (level[:, 1:] <= level[:, :-1])
+            lobe[:, :-1] |= lobe[:, 1:] & (level[:, :-1] <= level[:, 1:])
+        n_v, n_u = mag.shape
+        if not ((v0 > 0 and lobe[0].any()) or (v1 < n_v and lobe[-1].any())
+                or (u0 > 0 and lobe[:, 0].any()) or (u1 < n_u and lobe[:, -1].any())):
+            return MainLobeMask(mask=mask)
+        radius *= 2
 
 
 def pslr(pattern: Pattern, fov: Optional[FovRect] = None) -> float:
     """Peak-to-sidelobe ratio in dB: peak over the largest magnitude outside the main lobe.
 
     Both maxima are restricted to the FOV. Returns ``math.inf`` when nothing
-    remains outside the main lobe (single-lobe pattern).
+    remains outside the main lobe (single-lobe pattern). On a ``UVBand``
+    pattern whose main lobe reaches the band's first or last row, raises
+    ``LobeLeavesBand``: the lobe may continue outside the band, so only the
+    full lattice scores it exactly.
     """
     peak = find_peak(pattern, fov)
-    visible = _visible(pattern.grid, fov)
+    visible = pattern.grid.visible(fov)
     mag = pattern.magnitude
     if peak.magnitude - mag.min(where=visible, initial=peak.magnitude) <= peak.magnitude * 1e-12:
         raise ValueError("degenerate pattern: all magnitudes equal inside the FOV")
-    lobe = mask_main_lobe(pattern, peak)
-    sidelobe = float(mag.max(where=visible & ~lobe.mask, initial=0.0))
+    lobe = mask_main_lobe(pattern, peak).mask
+    if isinstance(pattern.grid, UVBand) and (lobe[0].any() or lobe[-1].any()):
+        raise LobeLeavesBand(f"the main lobe reaches an edge row of the {mag.shape[0]}-row band")
+    sidelobe = float(mag.max(where=visible & ~lobe, initial=0.0))
     if sidelobe <= 0.0:
         return math.inf
     return 20.0 * math.log10(peak.magnitude / sidelobe)
@@ -317,6 +364,7 @@ def evaluate_layout(
     covering the VRX bounding box; aperture areas are element-center boxes.
     """
     vrx = build_virtual_array(layout)
+    check_lobe_sampling(layout.grid, q_phi, q_theta)
     grid = scoring_grid(layout.grid, q_phi, q_theta)
     if targets is None:
         targets = [Target(0.0, 0.0, 1.0 + 0.0j)]

@@ -31,7 +31,7 @@ from .geometry import (
     check_overlap,
     element_conflicts,
 )
-from .metrics import _visible, pslr, scoring_fov, scoring_grid
+from .metrics import LobeLeavesBand, check_lobe_sampling, fov_band, pslr, scoring_fov, scoring_grid
 
 # Span (dB) of the last three best-PSLR checkpoints below which the search
 # is declared converged.
@@ -448,28 +448,38 @@ def optimize(spec: DesignSpec) -> tuple[ArrayLayout, OptimizerTrace]:
     Seeds from the spacing-progression initialization snapped to the derived
     reference grid, then iterates shuffle/perturb proposals, accepting only
     strict PSLR improvements of a single broadside unit-target pattern scored
-    inside the grid's uFOV. Stops on budget, on reaching the desired PSLR, or
-    on plateau: the best PSLR is sampled every ``plateau_interval`` iterations
-    and the run ends when the last three samples agree within 0.5 dB.
+    inside the grid's uFOV, on the lattice rows that hold it. Stops on budget,
+    on reaching the desired PSLR, or on plateau: the best PSLR is sampled every
+    ``plateau_interval`` iterations and the run ends when the last three
+    samples agree within 0.5 dB.
     Identical spec and seed give an identical trace.
     """
     grid, _virtual = derive_grid(spec)
     rng = np.random.default_rng(spec.seed)
     eval_grid = scoring_grid(grid, spec.q_phi, spec.q_theta)
     fov = scoring_fov(grid)
-    visible = _visible(eval_grid, fov)
+    visible = eval_grid.visible(fov)
     for name, lines, q in zip("uv", (visible.any(0), visible.any(1)), ("q_phi", "q_theta")):
         inside = np.count_nonzero(lines)
         if inside < min(2, lines.size):  # a linear array's v = 0 cut has one sample
             raise InfeasibleSpecError(f"the target uFOV holds {inside} scoring sample(s) along "
                                       f"{name}, too few for a PSLR; raise {q}")
+    try:
+        check_lobe_sampling(grid, spec.q_phi, spec.q_theta)
+    except ValueError as exc:
+        raise InfeasibleSpecError(str(exc)) from exc
+    band = fov_band(eval_grid, fov)
     layout = _initial_layout(spec, grid)
     broadside = [Target(0.0, 0.0, 1.0 + 0.0j)]
 
     def score(lay: ArrayLayout) -> float:
+        # Every FOV node lies in the band; a lobe that may leave it is scored on the lattice.
         vrx = build_virtual_array(lay)
         snapshot = synthesize_snapshot(vrx, broadside)
-        return pslr(beamform(vrx, snapshot, eval_grid), fov)
+        try:
+            return pslr(beamform(vrx, snapshot, band), fov)
+        except LobeLeavesBand:
+            return pslr(beamform(vrx, snapshot, eval_grid), fov)
 
     best = layout
     best_pslr = score(layout)

@@ -44,6 +44,18 @@ def direct_pattern(coords_wl, snapshot, u_samples, v_samples):
     return out
 
 
+def per_call_pattern(vrx, snapshot, grid):
+    """Separable beamforming with every phasor evaluated on the call: a bit-for-bit oracle.
+
+    The same float products and matrix product as ``beamform``, without its
+    per-grid phasor tables.
+    """
+    coords = vrx.positions_wavelengths()
+    u_phasors = np.exp(-2j * np.pi * np.outer(coords[:, 0], grid.u_samples))
+    v_phasors = np.exp(-2j * np.pi * np.outer(coords[:, 1], grid.v_samples))
+    return (v_phasors * np.asarray(snapshot, dtype=complex)[:, None]).T @ u_phasors
+
+
 def reference_main_lobe(mag, iv, iu):
     """Main-lobe mask by breadth-first search from node (iv, iu).
 
@@ -83,6 +95,33 @@ def reference_pslr(mag, visible):
     if residual.size == 0 or residual.max() <= 0.0:
         return math.inf
     return 20.0 * math.log10(peak / residual.max())
+
+
+def escaping_lobe(n_v, n_u, edge_row, outward):
+    """Magnitudes whose main lobe leaves a band of rows through ``edge_row`` and comes back in.
+
+    ``outward`` is -1 when ``edge_row`` is the band's first row, +1 when it is
+    its last. The peak (10) sits next to the edge row, inside the band. A
+    descending path (9, 8) crosses the edge row to the row beyond it, runs four
+    columns along it (7.9 to 7.6) and comes back into the band (6, 5.5). Nulls
+    of 0.5 close the path in, a floor of 1 fills the rest, and a bump of 3,
+    three rows inside the edge row, is the only other lobe. Over all rows the
+    sidelobe is the bump. Restricted to the band, the path back in is cut off
+    and the 6 becomes the sidelobe.
+    """
+    mag = np.ones((n_v, n_u))
+    c, inner, outer = n_u // 2 - 2, edge_row - outward, edge_row + outward
+    path = [(inner, c, 10.0), (edge_row, c, 9.0), (outer, c, 8.0)]
+    path += [(outer, c + k, 8.0 - 0.1 * k) for k in range(1, 5)]
+    path += [(edge_row, c + 4, 6.0), (inner, c + 4, 5.5)]
+    for i, j, _ in path:
+        for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+            if 0 <= ni < n_v and 0 <= nj < n_u:
+                mag[ni, nj] = 0.5
+    for i, j, level in path:
+        mag[i, j] = level
+    mag[edge_row - 3 * outward, c + 2] = 3.0
+    return mag
 
 
 def dirichlet_magnitude(n: int, d_lambda: float, u):

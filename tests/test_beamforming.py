@@ -6,11 +6,9 @@ from numpy.testing import assert_allclose
 
 from saf import (
     ArrayLayout,
-    CouplingMatrix,
     GridSpec,
     Target,
     angles_to_uv,
-    apply_coupling,
     beamform,
     build_virtual_array,
     make_uv_cut,
@@ -19,7 +17,8 @@ from saf import (
     synthesize_snapshot,
     uv_to_angles,
 )
-from conftest import dirichlet_magnitude, direct_pattern, linear_layout, small_size, ula_layout
+from conftest import (dirichlet_magnitude, direct_pattern, linear_layout, per_call_pattern, small_size,
+                      ula_layout)
 
 
 class TestAngleConversion:
@@ -146,27 +145,6 @@ class TestSnapshot:
             Target(u, v, amplitude)
 
 
-class TestCoupling:
-    def test_identity(self):
-        snap = np.array([1 + 1j, 2.0, -1j])
-        out = apply_coupling(snap, CouplingMatrix(np.eye(3)))
-        assert_allclose(out, snap)
-
-    def test_zero(self):
-        out = apply_coupling(np.ones(3), CouplingMatrix(np.zeros((3, 3))))
-        assert_allclose(out, np.zeros(3))
-
-    def test_small_matrix(self):
-        out = apply_coupling(np.ones(2), CouplingMatrix(np.array([[1.0, 0.1], [0.1, 1.0]])))
-        assert_allclose(out, [1.1, 1.1])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_coupling(np.ones(3), CouplingMatrix(np.eye(2)))
-        with pytest.raises(ValueError):
-            CouplingMatrix(np.ones((2, 3)))
-
-
 class TestBeamform:
     def test_on_grid_peak_equals_vrx_count(self):
         vrx = build_virtual_array(ula_layout(8))
@@ -206,6 +184,22 @@ class TestBeamform:
             fast = beamform(vrx, snap, grid2d).values
             slow = direct_pattern(vrx.positions_wavelengths(), snap, grid2d.u_samples, grid2d.v_samples)
             assert_allclose(fast, slow, rtol=1e-10, atol=1e-9)
+
+    def test_shared_grid_keeps_the_bits_of_per_call_phasors(self, rng):
+        # One grid serves layouts whose VRX cover different rows and columns, so
+        # its phasor tables grow between calls; every pattern keeps the bits.
+        grid = make_uv_grid(19, 19, 4, 2)
+        for _ in range(6):
+            cells = rng.choice(10 * 10, size=7, replace=False)
+            tx = [(int(c % 10), int(c // 10)) for c in cells[:2]]
+            rx = [(int(c % 10), int(c // 10)) for c in cells[2:]]
+            layout = ArrayLayout(GridSpec(0.7, 1.3, 10, 10), tx, rx, small_size(0.1, 0.1),
+                                 small_size(0.1, 0.1))
+            vrx = build_virtual_array(layout)
+            snap = rng.standard_normal(vrx.unique_count) + 1j * rng.standard_normal(vrx.unique_count)
+            expected = per_call_pattern(vrx, snap, grid)
+            assert np.array_equal(beamform(vrx, snap, grid).values, expected)
+            assert np.array_equal(beamform(vrx, snap, make_uv_grid(19, 19, 4, 2)).values, expected)
 
     def test_linearity(self, rng):
         vrx = build_virtual_array(ula_layout(12))

@@ -363,6 +363,12 @@ def _saf_log(tmp_path, monkeypatch):
                      id="layout-grid-extent-overflows"),
         pytest.param(lambda t, m: _evaluate(t, _planar(1.5e307)), 2, "extent",
                      id="layout-virtual-grid-extent-overflows"),
+        # A spacing the scoring lattice samples fewer than twice per main lobe. At 1e6 the
+        # grating-lobe list alone used to hold 2 million angles; at 1e9 evaluate never finished.
+        pytest.param(lambda t, m: _evaluate(t, _planar(1e6)), 2, "d_y", id="layout-grid-spacing-1e6"),
+        pytest.param(lambda t, m: _evaluate(t, _planar(1e9)), 2, "d_y", id="layout-grid-spacing-1e9"),
+        pytest.param(lambda t, m: _design(t, target_ufov_az=10.0), 2, "d_y",
+                     id="design-lobe-below-two-samples"),
     ],
 )
 def test_exit_code_contract(argv, code, field, tmp_path, monkeypatch, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from saf import (
+    GridSpec,
     Pattern,
     Peak,
     Rect,
@@ -30,7 +31,9 @@ from saf import (
     ufov,
     virtual_coverage_area,
 )
-from conftest import dirichlet_magnitude, reference_main_lobe, reference_pslr, ula_layout
+from saf.beamforming import UVBand, UVGrid
+from saf.metrics import _LOBE_WINDOW, LobeLeavesBand, check_lobe_sampling, fov_band
+from conftest import dirichlet_magnitude, escaping_lobe, reference_main_lobe, reference_pslr, ula_layout
 
 
 def ula_pattern(n, d_y=0.5, q=8, target=Target(0.0, 0.0)):
@@ -45,6 +48,37 @@ def synthetic_cut(values):
     grid = make_uv_cut(values.shape[1], 1)
     vrx = build_virtual_array(ula_layout(2))
     return Pattern(grid=grid, values=values, vrx=vrx)
+
+
+@st.composite
+def wide_lobes(draw):
+    """Magnitudes on grids of 20 to 64 nodes a side whose main lobe outgrows the first fill window.
+
+    Either |sinc| of the (stretched) distance from an off-grid centre, whose
+    first null lies 11 to 24 nodes out, or a tilted plane, which is one lobe.
+    Rounding to a few levels adds plateaus and ties.
+    """
+    n_v, n_u = draw(st.integers(20, 64)), draw(st.integers(20, 64))
+    iv, iu = np.mgrid[0:n_v, 0:n_u]
+    if draw(st.booleans()):
+        cv, cu = draw(st.floats(0, n_v - 1)), draw(st.floats(0, n_u - 1))
+        stretch = draw(st.floats(0.5, 2.0))
+        mag = np.abs(np.sinc(np.hypot((iv - cv) * stretch, iu - cu) / draw(st.floats(11.0, 24.0))))
+    else:
+        slope_v, slope_u = (draw(st.floats(0.05, 1.0)) * draw(st.sampled_from([-1, 1])) for _ in "vu")
+        mag = slope_v * iv + slope_u * iu
+        mag -= mag.min()
+    levels = draw(st.sampled_from([0, 3, 16]))
+    return np.round(mag / mag.max() * levels) if levels else mag
+
+
+def first_peak(mag):
+    return np.unravel_index(int(np.argmax(mag)), mag.shape)
+
+
+def pattern_of(mag):
+    n_v, n_u = mag.shape
+    return Pattern(make_uv_grid(n_u, n_v, 1, 1), mag.astype(complex), build_virtual_array(ula_layout(2)))
 
 
 class TestFindPeak:
@@ -116,6 +150,19 @@ class TestMainLobeMask:
         mask = mask_main_lobe(pattern, peak).mask
         assert (mask == reference_main_lobe(mag, iv, iu)).all()
 
+    @settings(max_examples=200, deadline=None)
+    @given(wide_lobes())
+    def test_matches_breadth_first_reference_past_the_first_window(self, mag):
+        iv, iu = first_peak(mag)
+        pattern = pattern_of(mag)
+        peak = Peak(float(mag[iv, iu]), float(pattern.grid.u_samples[iu]),
+                    float(pattern.grid.v_samples[iv]), int(iu), int(iv))
+        expected = reference_main_lobe(mag, iv, iu)
+        # The lobe holds a node outside the first window, so the window had to grow.
+        lobe_v, lobe_u = np.nonzero(expected)
+        assert np.maximum(abs(lobe_v - iv), abs(lobe_u - iu)).max() > _LOBE_WINDOW
+        assert (mask_main_lobe(pattern, peak).mask == expected).all()
+
 
 class TestPslr:
     def test_large_ula_matches_uniform_first_sidelobe(self):
@@ -166,6 +213,40 @@ class TestPslr:
                 pslr(pattern, fov)
         else:
             assert pslr(pattern, fov) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_lobes(), st.lists(st.floats(-1.1, 1.1), min_size=4, max_size=4))
+    def test_matches_reference_past_the_first_window(self, mag, edges):
+        pattern = pattern_of(mag)
+        fov = (*sorted(edges[:2]), *sorted(edges[2:]))
+        visible = pattern.grid.visible(fov)
+        try:
+            expected = reference_pslr(mag, visible)
+        except ValueError:
+            with pytest.raises(ValueError):
+                pslr(pattern, fov)
+        else:
+            assert pslr(pattern, fov) == expected
+
+    @pytest.mark.parametrize("edge_row, outward", [(2, -1), (6, 1)], ids=["first-row", "last-row"])
+    def test_lobe_leaving_the_band_is_refused(self, edge_row, outward):
+        lattice = make_uv_grid(16, 8, 1, 1)  # v = -1, -0.75, ..., 0.75
+        fov = (-1.0, 1.0, -0.5, 0.5)  # rows 2 to 6
+        mag = escaping_lobe(8, 16, edge_row, outward)
+        vrx = build_virtual_array(ula_layout(2))
+        band = fov_band(lattice, fov)
+        assert isinstance(band, UVBand) and band.v_samples.tolist() == [-0.5, -0.25, 0.0, 0.25, 0.5]
+        with pytest.raises(LobeLeavesBand):
+            pslr(Pattern(band, mag[2:7].astype(complex), vrx), fov)
+        # The same rows as a plain grid: the lobe is cut off and its path back in counts as a sidelobe.
+        rows_only = Pattern(UVGrid(band.u_samples, band.v_samples), mag[2:7].astype(complex), vrx)
+        assert pslr(rows_only, fov) == 20.0 * math.log10(10.0 / 6.0)
+        full = pslr(Pattern(lattice, mag.astype(complex), vrx), fov)
+        assert full == reference_pslr(mag, lattice.visible(fov)) == 20.0 * math.log10(10.0 / 3.0)
+
+    def test_band_is_the_lattice_when_the_fov_holds_every_row(self):
+        lattice = make_uv_grid(16, 8, 1, 1)
+        assert fov_band(lattice, (-1.0, 1.0, -1.0, 1.0)) is lattice
 
     def test_scale_invariance(self):
         vrx = build_virtual_array(ula_layout(16))
@@ -294,6 +375,22 @@ class TestUfov:
 
         sv = math.sin(math.radians(ufov(2.0)))
         assert scoring_fov(GridSpec(0.3, 2.0, 4, 4)) == pytest.approx((-1.0, 1.0, -sv, sv), abs=1e-15)
+
+
+class TestLobeSampling:
+    @pytest.mark.parametrize("d_y, d_z, N, q_phi, q_theta", [
+        (2.0, 0.5, 4, 4, 1), (0.5, 2.0, 4, 1, 4), (0.5, 1e9, 1, 1, 1),
+    ], ids=["d_y-at-the-bound", "d_z-at-the-bound", "cut-ignores-d_z"])
+    def test_accepted(self, d_y, d_z, N, q_phi, q_theta):
+        check_lobe_sampling(GridSpec(d_y, d_z, 4, N), q_phi, q_theta)
+
+    @pytest.mark.parametrize("d_y, d_z, q_phi, q_theta, message", [
+        (2.0001, 0.5, 4, 1, "d_y = 2.0001 wavelengths exceeds q_phi / 2 = 2"),
+        (0.5, 1.0, 1, 1, "d_z = 1 wavelengths exceeds q_theta / 2 = 0.5"),
+    ], ids=["d_y", "d_z"])
+    def test_refused(self, d_y, d_z, q_phi, q_theta, message):
+        with pytest.raises(ValueError, match=message):
+            check_lobe_sampling(GridSpec(d_y, d_z, 4, 4), q_phi, q_theta)
 
 
 class TestEfficiencyFactors:

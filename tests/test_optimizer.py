@@ -12,17 +12,25 @@ from saf import (
     ForbiddenZone,
     GridSpec,
     InfeasibleSpecError,
+    Pattern,
+    Target,
     check_forbidden_zones,
     check_overlap,
+    beamform,
     derive_grid,
     hia_init,
     optimize,
     outer_loop,
     propose_candidate,
+    pslr,
     scoring_fov,
+    scoring_grid,
     snap_to_grid,
     spacing_ecdf,
+    synthesize_snapshot,
 )
+from saf.beamforming import UVBand, UVGrid
+from conftest import escaping_lobe, reference_pslr
 
 
 def linear_spec(**overrides) -> DesignSpec:
@@ -259,6 +267,14 @@ class TestProposeCandidate:
             assert (32, 0) in current.tx_positions
 
 
+def planar_spec(**overrides) -> DesignSpec:
+    """linear_spec on a 33x4 planar grid with d_z = 1: the uFOV holds 15 of the 28 lattice rows."""
+    base = dict(dimensionality="2D", target_ufov_el=30.0, target_hpbw_el=math.degrees(0.886 / 6.0005),
+                q_theta=4)
+    base.update(overrides)
+    return linear_spec(**base)
+
+
 class TestOptimize:
     def test_monotone_trace_and_budget(self):
         layout, trace = optimize(linear_spec())
@@ -309,6 +325,58 @@ class TestOptimize:
                            target_hpbw_el=math.degrees(0.886 / 70.0005))
         with pytest.raises(InfeasibleSpecError, match="1 scoring sample.* along v.*q_theta"):
             optimize(spec)
+
+    def test_lobe_sampled_fewer_than_twice_rejected(self):
+        # A 10-degree uFOV gives d_y = 2.88 > q_phi / 2 = 2, though the uFOV holds many samples.
+        spec = linear_spec(target_ufov_az=10.0, q_phi=4)
+        with pytest.raises(InfeasibleSpecError, match="d_y = 2.879.* exceeds q_phi / 2 = 2"):
+            optimize(spec)
+
+    def test_band_scores_equal_the_full_lattice_scores(self, monkeypatch):
+        spec = planar_spec(k_max=40, seed=3)
+        grid, _ = derive_grid(spec)
+        lattice = scoring_grid(grid, spec.q_phi, spec.q_theta)
+        fov = scoring_fov(grid)
+        real_pslr = pslr
+        scored = []
+
+        def recorded(pattern, fov):
+            value = real_pslr(pattern, fov)
+            scored.append((pattern, value))
+            return value
+
+        monkeypatch.setattr("saf.optimizer.pslr", recorded)
+        optimize(spec)
+        assert len(scored) > 30
+        for pattern, value in scored:
+            assert isinstance(pattern.grid, UVBand) and pattern.grid.shape[0] < lattice.shape[0]
+            snapshot = synthesize_snapshot(pattern.vrx, [Target(0.0, 0.0)])
+            full = beamform(pattern.vrx, snapshot, lattice)
+            rows = np.searchsorted(lattice.v_samples, pattern.grid.v_samples)
+            assert np.array_equal(full.values[rows], pattern.values)
+            assert value == pslr(full, fov)
+
+    @pytest.mark.parametrize("edge", [0, -1], ids=["first-row", "last-row"])
+    def test_lobe_leaving_the_band_is_scored_on_the_lattice(self, edge, monkeypatch):
+        spec = planar_spec(k_max=1)
+        grid, _ = derive_grid(spec)
+        lattice = scoring_grid(grid, spec.q_phi, spec.q_theta)
+        fov = scoring_fov(grid)
+        band_rows = np.flatnonzero(lattice.visible(fov).any(1))
+        mag = escaping_lobe(*lattice.shape, band_rows[edge], 1 if edge else -1)
+        served = []
+
+        def constructed(vrx, snapshot, uv):
+            served.append(type(uv))
+            rows = np.searchsorted(lattice.v_samples, uv.v_samples)
+            return Pattern(uv, mag[rows].astype(complex), vrx)
+
+        monkeypatch.setattr("saf.optimizer.beamform", constructed)
+        _, trace = optimize(spec)
+        assert served[:2] == [UVBand, UVGrid]
+        expected = reference_pslr(mag, lattice.visible(fov))
+        assert expected == 20.0 * math.log10(10.0 / 3.0)
+        assert trace.initial_pslr_db == expected
 
     def test_final_exceeds_initial_with_budget(self):
         layout, trace = optimize(linear_spec(k_max=400, seed=3))
