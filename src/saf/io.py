@@ -251,25 +251,25 @@ def spec_hash(raw_config: dict) -> str:
 def write_pattern_csv(pattern: Pattern, path: Path) -> None:
     """Pattern lattice as CSV: u,v,re,im,mag_db row-major over v then u.
 
-    mag_db is relative to the pattern maximum and floored at -120 dB.
+    mag_db is relative to the pattern maximum and floored at -120 dB, also
+    where the ratio to the maximum underflows to 0. The file is written one v
+    row at a time, so the writer's memory does not grow with the lattice.
+    mag_db takes ``math.log10`` per element: ``np.log10`` differs from it in
+    the last bit on some rows, which would change the bytes.
     """
     mag = pattern.magnitude
     peak = float(mag.max())
-    lines = ["u,v,re,im,mag_db"]
-    u_samples = pattern.grid.u_samples
-    v_samples = pattern.grid.v_samples
-    for iv in range(v_samples.size):
-        v = v_samples[iv]
-        for iu in range(u_samples.size):
-            value = pattern.values[iv, iu]
-            if peak > 0 and mag[iv, iu] > 0:
-                db = max(DB_FLOOR, 20.0 * math.log10(mag[iv, iu] / peak))
-            else:
-                db = DB_FLOOR
-            lines.append(
-                f"{u_samples[iu]:.17g},{v:.17g},{value.real:.17g},{value.imag:.17g},{db:.17g}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+    u_texts = [f"{u:.17g}" for u in pattern.grid.u_samples.tolist()]
+    with Path(path).open("w") as f:
+        f.write("u,v,re,im,mag_db\n")
+        for v, values, mags in zip(pattern.grid.v_samples.tolist(), pattern.values, mag):
+            v_text = f"{v:.17g}"
+            ratios = (mags / peak).tolist() if peak > 0 else [0.0] * mags.size
+            dbs = [max(DB_FLOOR, 20.0 * math.log10(r)) if r > 0 else DB_FLOOR for r in ratios]
+            f.write("".join([
+                f"{u},{v_text},{re:.17g},{im:.17g},{db:.17g}\n"
+                for u, re, im, db in zip(u_texts, values.real.tolist(), values.imag.tolist(), dbs)
+            ]))
 
 
 def write_metrics_json(report: MetricsReport, path: Path) -> None:

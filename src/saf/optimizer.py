@@ -271,6 +271,10 @@ def propose_candidate(
     one non-enforced element by 1..intensity grid steps on a random axis. The
     result is re-validated; after 32 failed attempts the unchanged layout is
     returned with a stagnation flag.
+
+    ``current`` must satisfy the overlap and zone constraints, as the
+    optimizer's best layout does: a shuffle re-checks the whole layout, but a
+    single-element move checks only the moved element against the others.
     """
     two_d = current.grid.N > 1
     for _ in range(32):
@@ -300,7 +304,11 @@ def propose_candidate(
             )
         except LayoutError:
             continue
-        if _layout_valid(candidate, zones):
+        if shuffle:
+            valid = _layout_valid(candidate, zones)
+        else:
+            valid = not element_conflicts(current, group, i, moved[i], zones)
+        if valid:
             return candidate, False
     return current, True
 

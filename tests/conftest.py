@@ -2,6 +2,7 @@
 
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +123,29 @@ def escaping_lobe(n_v, n_u, edge_row, outward):
         mag[i, j] = level
     mag[edge_row - 3 * outward, c + 2] = 3.0
     return mag
+
+
+def reference_pattern_csv(pattern, path):
+    """Pattern CSV built as one list of lines and written as one string: a bit-for-bit oracle.
+
+    The same formats and dB rule as ``write_pattern_csv``, one node at a time,
+    on numpy scalars instead of the streamed rows' Python floats.
+    """
+    mag = pattern.magnitude
+    peak = float(mag.max())
+    lines = ["u,v,re,im,mag_db"]
+    u_samples = pattern.grid.u_samples
+    v_samples = pattern.grid.v_samples
+    for iv in range(v_samples.size):
+        v = v_samples[iv]
+        for iu in range(u_samples.size):
+            value = pattern.values[iv, iu]
+            ratio = mag[iv, iu] / peak if peak > 0 else 0.0
+            db = max(-120.0, 20.0 * math.log10(ratio)) if ratio > 0 else -120.0
+            lines.append(
+                f"{u_samples[iu]:.17g},{v:.17g},{value.real:.17g},{value.imag:.17g},{db:.17g}"
+            )
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def dirichlet_magnitude(n: int, d_lambda: float, u):

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from saf import (
     ArrayLayout,
@@ -14,6 +16,7 @@ from saf import (
     GridSpec,
     Pattern,
     Target,
+    UVGrid,
     beamform,
     build_virtual_array,
     make_uv_cut,
@@ -35,7 +38,7 @@ from saf.io import (
     write_pattern_csv,
 )
 from saf.optimizer import DesignSpec, optimize
-from conftest import ula_layout, linear_layout
+from conftest import linear_layout, reference_pattern_csv, ula_layout
 
 
 def design_config(**overrides):
@@ -96,6 +99,26 @@ class TestLayoutRoundTrip:
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
 
+# Real and imaginary parts: signed zeros, subnormals and floats in [-1, 1].
+_CSV_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3]),
+                       st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _csv_patterns(draw):
+    """Patterns on 1-row cuts and non-square lattices, some all zero, over a 300 dB range."""
+    n_v, n_u = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    u = draw(arrays(float, n_u, elements=st.floats(-1.0, 1.0)))
+    v = np.zeros(1) if n_v == 1 else draw(arrays(float, n_v, elements=st.floats(-1.0, 1.0)))
+    values = np.zeros((n_v, n_u), dtype=complex)
+    if draw(st.sampled_from(range(8))):  # one pattern in eight is all zero
+        scale = 10.0 ** draw(arrays(int, (n_v, n_u), elements=st.integers(-15, 0)))
+        scale *= 10.0 ** draw(st.sampled_from([-290, -150, 0, 150, 290]))
+        values.real = draw(arrays(float, (n_v, n_u), elements=_CSV_PARTS, fill=st.nothing())) * scale
+        values.imag = draw(arrays(float, (n_v, n_u), elements=_CSV_PARTS, fill=st.nothing())) * scale
+    return Pattern(UVGrid(u, v), values, build_virtual_array(ula_layout(2)))
+
+
 class TestPatternCsv:
     def test_format_and_exact_values(self, tmp_path):
         vrx = build_virtual_array(ula_layout(4))
@@ -138,6 +161,44 @@ class TestPatternCsv:
             "-1,0,0,0,-120\n"
             "0,0,9.9999999999999995e-08,0,-120\n"
         )
+
+    def test_ratio_underflowing_to_zero_is_floored(self, tmp_path):
+        # 1e-300 / 1e300 is 0.0 in doubles, where math.log10 would raise.
+        values = np.array([[1e300, 1e-300]], dtype=complex)
+        vrx = build_virtual_array(ula_layout(2))
+        write_pattern_csv(Pattern(make_uv_cut(1, 2), values, vrx), tmp_path / "p.csv")
+        assert (tmp_path / "p.csv").read_text().splitlines()[1:] == [
+            "-1,0,1.0000000000000001e+300,0,0",
+            "0,0,1e-300,0,-120",
+        ]
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pattern=_csv_patterns())
+    def test_same_bytes_as_the_reference_writer(self, pattern, tmp_path):
+        write_pattern_csv(pattern, tmp_path / "streamed.csv")
+        reference_pattern_csv(pattern, tmp_path / "reference.csv")
+        written = (tmp_path / "streamed.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        if not pattern.values.any():
+            assert all(line.endswith(b",-120") for line in written.splitlines()[1:])
+
+    def test_memory_does_not_grow_with_the_lattice(self, tmp_path):
+        # The README's 12x16 layout at q=4: a 284x516 lattice and a 15 MB file.
+        # Building the whole file in memory peaked at 52 MB.
+        grid = make_uv_grid(129, 71, 4, 4)
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+        pattern = Pattern(grid, values, build_virtual_array(ula_layout(2)))
+        pattern.magnitude  # the pattern's, not the writer's: scoring computes it first
+        tracemalloc.start()
+        try:
+            write_pattern_csv(pattern, tmp_path / "p.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "p.csv").stat().st_size > 14e6
+        assert peak < 4e6
 
 
 class TestDesignCommand:
@@ -289,6 +350,12 @@ def _design(tmp_path, **overrides):
     return ["design", "--config", config, "--out", str(tmp_path / "o")]
 
 
+def _pattern_csv_taken(tmp_path, argv):
+    """``argv``, with ``pattern.csv`` in its output directory already a directory."""
+    (tmp_path / "o" / "pattern.csv").mkdir(parents=True)
+    return argv
+
+
 _META = {"type": "meta", "seed": 0, "k_max": 1, "initial_pslr_db": 1.0}
 _ITERATION = {"type": "iteration", "k": 1, "candidate_pslr_db": 2.0, "best_pslr_db": 2.0,
               "accepted": True}
@@ -369,6 +436,11 @@ def _saf_log(tmp_path, monkeypatch):
         pytest.param(lambda t, m: _evaluate(t, _planar(1e9)), 2, "d_y", id="layout-grid-spacing-1e9"),
         pytest.param(lambda t, m: _design(t, target_ufov_az=10.0), 2, "d_y",
                      id="design-lobe-below-two-samples"),
+        # The pattern writer opens its file itself: a failed open is still an I/O error.
+        pytest.param(lambda t, m: _pattern_csv_taken(t, _evaluate(t, layout_to_dict(ula_layout(8)))),
+                     1, "pattern.csv", id="evaluate-pattern-csv-is-a-directory"),
+        pytest.param(lambda t, m: _pattern_csv_taken(t, _design(t)), 1, "pattern.csv",
+                     id="design-pattern-csv-is-a-directory"),
     ],
 )
 def test_exit_code_contract(argv, code, field, tmp_path, monkeypatch, capsys):
