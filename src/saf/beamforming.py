@@ -191,6 +191,11 @@ class Pattern:
         """|values|, computed once per pattern: ``values`` must not be modified in place."""
         return np.abs(self.values)
 
+    @functools.cached_property
+    def peaks(self) -> dict:
+        """``metrics.find_peak`` results per FOV, so that each is searched for once."""
+        return {}
+
 
 def steering_vector(vrx: VirtualArray, u: float, v: float) -> np.ndarray:
     """Unit-magnitude phasors e^{j 2 pi (y u + z v)} over the VRX positions."""

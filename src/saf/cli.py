@@ -7,11 +7,15 @@ The SAF_LOG environment variable sets the log level (default WARNING).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import logging
 import math
 import os
+import shutil
 import sys
+import tempfile
+from collections.abc import Callable
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -38,6 +42,32 @@ EXIT_INVALID = 2
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+def _write_outputs(out: Path, writers: dict[str, Callable[[Path], None]]) -> None:
+    """Write every output into ``out``, or none of them.
+
+    Each writer writes its file under a temporary directory in ``out``; once
+    all have succeeded, the files are renamed into place. On a failure, the
+    files already renamed are removed, so ``out`` keeps only what it held
+    before, less any file this command had already replaced.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".saf-", dir=out))
+    placed = []
+    try:
+        for name, write in writers.items():
+            write(staging / name)
+        for name in writers:
+            os.replace(staging / name, out / name)
+            placed.append(out / name)
+    except BaseException:
+        for path in placed:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _parse_target(text: str) -> Target:
@@ -107,21 +137,22 @@ def cmd_design(args) -> int:
         layout, trace = optimize(spec)
     pattern, report = evaluate_layout(layout, q_phi=spec.q_phi, q_theta=spec.q_theta)
 
-    args.out.mkdir(parents=True, exist_ok=True)
-    names = ["layout.json", "trace.jsonl", "metrics.json", "pattern.csv", "manifest.json"]
-    save_layout(layout, args.out / "layout.json", zones=spec.zones)
-    write_trace_jsonl(trace, args.out / "trace.jsonl", seed=spec.seed, k_max=spec.k_max)
-    write_metrics_json(report, args.out / "metrics.json")
-    write_pattern_csv(pattern, args.out / "pattern.csv")
-    write_manifest(
-        args.out / "manifest.json",
-        tool_version=__version__,
-        config_digest=spec_hash({**raw_config, **overrides}),
-        seed=spec.seed,
-        started_at=started,
-        finished_at=_timestamp(),
-        outputs=names,
-    )
+    outputs = {
+        "layout.json": lambda path: save_layout(layout, path, zones=spec.zones),
+        "trace.jsonl": lambda path: write_trace_jsonl(trace, path, seed=spec.seed, k_max=spec.k_max),
+        "metrics.json": lambda path: write_metrics_json(report, path),
+        "pattern.csv": lambda path: write_pattern_csv(pattern, path),
+        "manifest.json": lambda path: write_manifest(
+            path,
+            tool_version=__version__,
+            config_digest=spec_hash({**raw_config, **overrides}),
+            seed=spec.seed,
+            started_at=started,
+            finished_at=_timestamp(),
+            outputs=list(outputs),
+        ),
+    }
+    _write_outputs(args.out, outputs)
     print(f"best PSLR {trace.final_pslr_db:.3f} dB after {len(trace.records)} iterations "
           f"({trace.termination}); outputs in {args.out}")
     return EXIT_OK
@@ -131,9 +162,10 @@ def cmd_evaluate(args) -> int:
     layout, _zones = load_layout(args.layout)
     q = args.grid_oversample
     pattern, report = evaluate_layout(layout, q_phi=q, q_theta=q, targets=args.target)
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_pattern_csv(pattern, args.out / "pattern.csv")
-    write_metrics_json(report, args.out / "metrics.json")
+    _write_outputs(args.out, {
+        "pattern.csv": lambda path: write_pattern_csv(pattern, path),
+        "metrics.json": lambda path: write_metrics_json(report, path),
+    })
     pslr_text = "inf" if report.pslr_db == math.inf else f"{report.pslr_db:.3f}"
     print(f"PSLR {pslr_text} dB; outputs in {args.out}")
     return EXIT_OK

@@ -16,12 +16,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .beamforming import Pattern
 from .geometry import ArrayLayout, Coord, ElementSize, ForbiddenZone, GridSpec
 from .metrics import MetricsReport
 from .optimizer import DesignSpec, OptimizerTrace
 
 DB_FLOOR = -120.0
+_TINY = 5e-324  # smallest positive double: 20 log10 of it is far below DB_FLOOR
 
 
 class SchemaError(ValueError):
@@ -78,6 +81,10 @@ def _float(raw, context: str) -> float:
 
 def _number(mapping, key: str, context: str) -> float:
     return _float(_require(mapping, key, context), f"{context}.{key}")
+
+
+def _integer(mapping, key: str, context: str) -> int:
+    return _int(_require(mapping, key, context), f"{context}.{key}")
 
 
 def _items(raw, decode, context: str) -> tuple:
@@ -146,8 +153,7 @@ def layout_from_dict(raw: dict) -> tuple[ArrayLayout, tuple[ForbiddenZone, ...]]
     grid = _validated(
         lambda: GridSpec(
             _number(grid_raw, "d_y", "grid"), _number(grid_raw, "d_z", "grid"),
-            _int(_require(grid_raw, "M", "grid"), "grid.M"),
-            _int(_require(grid_raw, "N", "grid"), "grid.N"),
+            _integer(grid_raw, "M", "grid"), _integer(grid_raw, "N", "grid"),
         ),
         "grid",
     )
@@ -254,22 +260,30 @@ def write_pattern_csv(pattern: Pattern, path: Path) -> None:
     mag_db is relative to the pattern maximum and floored at -120 dB, also
     where the ratio to the maximum underflows to 0. The file is written one v
     row at a time, so the writer's memory does not grow with the lattice.
-    mag_db takes ``math.log10`` per element: ``np.log10`` differs from it in
-    the last bit on some rows, which would change the bytes.
+
+    Each row is one ``%`` format: a template with the u texts baked in,
+    joined around the row's v text, filled from a (n_u, 3) buffer of re, im
+    and mag_db. mag_db takes ``math.log10`` per element: ``np.log10`` differs
+    from it in the last bit on some rows, which would change the bytes. A
+    ratio of 0 (or NaN) becomes the smallest subnormal, whose level the floor
+    maps to -120 dB; ``20.0 *`` and the floor are the same IEEE operations in
+    numpy as on Python floats.
     """
     mag = pattern.magnitude
     peak = float(mag.max())
     u_texts = [f"{u:.17g}" for u in pattern.grid.u_samples.tolist()]
+    # Row template pieces: "u0," | ",%.17g,%.17g,%.17g\nu1," | ... | ",%.17g,%.17g,%.17g\n".
+    nodes = ",%.17g,%.17g,%.17g\n"
+    pieces = [f"{u_texts[0]},", *(f"{nodes}{u}," for u in u_texts[1:]), nodes]
+    row = np.empty((len(u_texts), 3))
     with Path(path).open("w") as f:
         f.write("u,v,re,im,mag_db\n")
         for v, values, mags in zip(pattern.grid.v_samples.tolist(), pattern.values, mag):
-            v_text = f"{v:.17g}"
-            ratios = (mags / peak).tolist() if peak > 0 else [0.0] * mags.size
-            dbs = [max(DB_FLOOR, 20.0 * math.log10(r)) if r > 0 else DB_FLOOR for r in ratios]
-            f.write("".join([
-                f"{u},{v_text},{re:.17g},{im:.17g},{db:.17g}\n"
-                for u, re, im, db in zip(u_texts, values.real.tolist(), values.imag.tolist(), dbs)
-            ]))
+            row[:, 0] = values.real
+            row[:, 1] = values.imag
+            ratios = np.fmax(mags / peak, _TINY) if peak > 0 else np.full(mags.size, _TINY)
+            row[:, 2] = np.maximum(20.0 * np.fromiter(map(math.log10, ratios.tolist()), float), DB_FLOOR)
+            f.write(f"{v:.17g}".join(pieces) % tuple(row.ravel().tolist()))
 
 
 def write_metrics_json(report: MetricsReport, path: Path) -> None:
@@ -326,25 +340,27 @@ def read_trace_summary(path: Path) -> TraceSummary:
     best_prev = -math.inf
     improvements = 0
     for i, rec in enumerate(iterations, start=1):
-        if rec.get("type") != "iteration" or rec.get("k") != i:
+        context = f"{path}: iteration {i}"
+        if rec.get("type") != "iteration" or _integer(rec, "k", context) != i:
             raise SchemaError(f"{path}: iteration line {i} is out of sequence")
-        best = _number(rec, "best_pslr_db", f"{path}: iteration {i}")
+        best = _number(rec, "best_pslr_db", context)
         if best < best_prev - 1e-12:
             raise SchemaError(f"{path}: best PSLR decreases at iteration {i}")
-        if rec.get("accepted"):
+        if _bool(_require(rec, "accepted", context), f"{context}.accepted"):
             improvements += 1
         best_prev = best
-    if summary.get("iterations") != len(iterations):
+    context = f"{path}: summary"
+    if _integer(summary, "iterations", context) != len(iterations):
         raise SchemaError(f"{path}: summary iteration count does not match the records")
-    if summary.get("improvements") != improvements:
+    if _integer(summary, "improvements", context) != improvements:
         raise SchemaError(f"{path}: summary improvement count does not match the records")
-    final = _number(summary, "final_pslr_db", f"{path}: summary")
+    final = _number(summary, "final_pslr_db", context)
     initial = _number(meta, "initial_pslr_db", f"{path}: meta")
     if iterations and abs(final - best_prev) > 1e-12:
         raise SchemaError(f"{path}: summary final PSLR does not match the last record")
     return TraceSummary(
         iterations=len(iterations),
-        termination=str(_require(summary, "termination", f"{path}: summary")),
+        termination=str(_require(summary, "termination", context)),
         initial_pslr_db=initial,
         final_pslr_db=final,
         improvements=improvements,

@@ -112,21 +112,26 @@ def check_lobe_sampling(grid: GridSpec, q_phi: int, q_theta: int) -> None:
 def find_peak(pattern: Pattern, fov: Optional[FovRect] = None) -> Peak:
     """Maximum magnitude inside the FOV (default: the real-angle disk u^2+v^2 <= 1).
 
-    Ties resolve to the smallest (v index, u index).
+    Ties resolve to the smallest (v index, u index). The peak is kept on the
+    pattern, so a second call with the same FOV does not search again.
     """
+    if fov in pattern.peaks:
+        return pattern.peaks[fov]
     visible = pattern.grid.visible(fov)
     if not visible.any():
         raise ValueError("FOV does not intersect the pattern grid")
     mag = np.where(visible, pattern.magnitude, -1.0)
     flat = int(np.argmax(mag))
     iv, iu = np.unravel_index(flat, mag.shape)
-    return Peak(
+    peak = Peak(
         magnitude=float(mag[iv, iu]),
         u=float(pattern.grid.u_samples[iu]),
         v=float(pattern.grid.v_samples[iv]),
         iu=int(iu),
         iv=int(iv),
     )
+    pattern.peaks[fov] = peak
+    return peak
 
 
 def mask_main_lobe(pattern: Pattern, peak: Peak) -> MainLobeMask:
@@ -373,7 +378,7 @@ def evaluate_layout(
 
     fov = scoring_fov(layout.grid)
     pslr_db = pslr(pattern, fov)
-    peak = find_peak(pattern, fov)  # pslr's peak: the beamwidth cuts go through it too
+    peak = find_peak(pattern, fov)  # pslr's peak, not searched again: the beamwidth cuts go through it
 
     coords = vrx.positions_wavelengths()
     ms, ns = zip(*vrx.vrx_positions)

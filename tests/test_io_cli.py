@@ -1,7 +1,9 @@
+import errno
 import hashlib
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from saf import (
     UVGrid,
     beamform,
     build_virtual_array,
+    evaluate_layout,
     make_uv_cut,
     make_uv_grid,
     synthesize_snapshot,
@@ -182,6 +185,16 @@ class TestPatternCsv:
         assert written == (tmp_path / "reference.csv").read_bytes()
         if not pattern.values.any():
             assert all(line.endswith(b",-120") for line in written.splitlines()[1:])
+
+    def test_same_bytes_as_the_reference_writer_on_a_beamformed_lattice(self, tmp_path):
+        # Real u texts and full-length rows through the row template: 120 u by 56 v nodes.
+        layout, _ = layout_from_dict(_planar(0.5))
+        targets = [Target(0.0, 0.0), Target(0.3, -0.2, 0.5 - 0.25j), Target(-0.6, 0.1, 1e-4)]
+        pattern, _ = evaluate_layout(layout, q_phi=8, q_theta=8, targets=targets)
+        assert pattern.values.shape == (56, 120)
+        write_pattern_csv(pattern, tmp_path / "template.csv")
+        reference_pattern_csv(pattern, tmp_path / "reference.csv")
+        assert (tmp_path / "template.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_memory_does_not_grow_with_the_lattice(self, tmp_path):
         # The README's 12x16 layout at q=4: a 284x516 lattice and a 15 MB file.
@@ -356,6 +369,31 @@ def _pattern_csv_taken(tmp_path, argv):
     return argv
 
 
+def _stale(tmp_path, name, argv):
+    """``argv``, with an earlier run's ``name`` already in its output directory."""
+    (tmp_path / "o").mkdir(exist_ok=True)
+    (tmp_path / "o" / name).write_text("stale\n")
+    return argv
+
+
+def _writer_fails(monkeypatch, writer, argv):
+    """``argv``, with ``saf.cli``'s ``writer`` leaving a partial file and failing as on a full disk."""
+    def fail(*args, **kwargs):
+        path = next(a for a in args if isinstance(a, Path))
+        path.write_text("partial")
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    monkeypatch.setattr(f"saf.cli.{writer}", fail)
+    return argv
+
+
+def _contents(out):
+    """Each entry of ``out``: a file's bytes, or None for a directory."""
+    if not out.exists():
+        return {}
+    return {p.name: None if p.is_dir() else p.read_bytes() for p in out.iterdir()}
+
+
 _META = {"type": "meta", "seed": 0, "k_max": 1, "initial_pslr_db": 1.0}
 _ITERATION = {"type": "iteration", "k": 1, "candidate_pslr_db": 2.0, "best_pslr_db": 2.0,
               "accepted": True}
@@ -441,13 +479,22 @@ def _saf_log(tmp_path, monkeypatch):
                      1, "pattern.csv", id="evaluate-pattern-csv-is-a-directory"),
         pytest.param(lambda t, m: _pattern_csv_taken(t, _design(t)), 1, "pattern.csv",
                      id="design-pattern-csv-is-a-directory"),
+        # A failed write leaves no output of the command, and earlier files as they were.
+        pytest.param(lambda t, m: _stale(t, "pattern.csv", _writer_fails(
+            m, "write_metrics_json", _evaluate(t, layout_to_dict(ula_layout(8))))),
+                     1, "metrics.json", id="evaluate-metrics-write-fails"),
+        pytest.param(lambda t, m: _stale(t, "layout.json", _writer_fails(m, "write_manifest", _design(t))),
+                     1, "manifest.json", id="design-manifest-write-fails"),
     ],
 )
 def test_exit_code_contract(argv, code, field, tmp_path, monkeypatch, capsys):
-    assert main(argv(tmp_path, monkeypatch)) == code
+    argv = argv(tmp_path, monkeypatch)
+    before = _contents(tmp_path / "o")
+    assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err
+    assert _contents(tmp_path / "o") == before
 
 
 @pytest.mark.parametrize(
@@ -644,6 +691,18 @@ class TestReadersOnFuzzedInput:
             load_design_config(_file(tmp_path, "design.json", raw))
         except ValueError:
             pass
+
+    @pytest.mark.parametrize("records, field", [
+        ([_META, {**_ITERATION, "k": True}, _SUMMARY], "iteration 1.k"),
+        ([_META, {**_ITERATION, "accepted": 1}, _SUMMARY], "iteration 1.accepted"),
+        ([_META, {**_ITERATION, "accepted": "no"}, _SUMMARY], "iteration 1.accepted"),
+        ([_META, _ITERATION, {**_SUMMARY, "iterations": True}], "summary.iterations"),
+        ([_META, _ITERATION, {**_SUMMARY, "improvements": True}], "summary.improvements"),
+    ], ids=["k-true", "accepted-1", "accepted-string", "iterations-true", "improvements-true"])
+    def test_trace_types_are_not_converted(self, records, field, tmp_path, capsys):
+        # JSON true equals 1 and any non-empty string is truthy: both used to pass.
+        assert main(_report(tmp_path, *records)) == 2
+        assert field in capsys.readouterr().err
 
     @_FUZZ
     @given(records=_one_field_fuzzed([_META, _ITERATION, _SUMMARY],

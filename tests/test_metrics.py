@@ -105,6 +105,13 @@ class TestFindPeak:
         with pytest.raises(ValueError):
             find_peak(pattern, fov=(2.0, 3.0, -1.0, 1.0))
 
+    def test_each_fov_is_searched_once(self):
+        pattern = ula_pattern(16)
+        fov = (0.15, 1.0, -1.0, 1.0)
+        assert find_peak(pattern, fov) is find_peak(pattern, fov)
+        assert find_peak(pattern) != find_peak(pattern, fov)
+        assert set(pattern.peaks) == {None, fov}
+
 
 class TestMainLobeMask:
     def test_ula_mask_spans_to_first_nulls(self):
@@ -441,6 +448,18 @@ class TestEvaluateLayout:
         _, report = evaluate_layout(ula_layout(16, d_y=1.0), q_phi=16)
         assert report.ufov_az == pytest.approx(30.0)
         assert report.grating_lobes_az  # grating lobes predicted
+
+    def test_the_peak_is_searched_for_once(self, monkeypatch):
+        searches = []
+        argmax = np.argmax
+
+        def counted(a, *args, **kwargs):
+            searches.append(a.shape)
+            return argmax(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argmax", counted)
+        pattern, _ = evaluate_layout(ula_layout(16), q_phi=16)
+        assert searches == [pattern.values.shape]
 
     def test_min_axis_spacing(self):
         assert min_axis_spacing(np.array([0.0, 0.5, 1.5])) == pytest.approx(0.5)
