@@ -21,7 +21,7 @@ import numpy as np
 from .beamforming import Pattern
 from .geometry import ArrayLayout, Coord, ElementSize, ForbiddenZone, GridSpec
 from .metrics import MetricsReport
-from .optimizer import DesignSpec, OptimizerTrace
+from .optimizer import TERMINATIONS, DesignSpec, OptimizerTrace
 
 DB_FLOOR = -120.0
 _TINY = 5e-324  # smallest positive double: 20 log10 of it is far below DB_FLOOR
@@ -204,12 +204,13 @@ def spec_to_dict(spec: DesignSpec) -> dict:
 
 
 def _spec_fields(raw: dict, context: str) -> dict:
-    """The DesignSpec fields in ``raw``, each decoded by its field type."""
+    """The DesignSpec fields in ``raw``, each decoded by its field type; any other key is refused."""
     fields = {}
     for name, value in raw.items():
-        if name in _SPEC_DECODERS:
-            where = f"{context}.{name}"
-            fields[name] = _validated(lambda: _SPEC_DECODERS[name](value, where), where)
+        if name not in _SPEC_DECODERS:
+            raise SchemaError(f"{context}: cannot set {name!r}")
+        where = f"{context}.{name}"
+        fields[name] = _validated(lambda: _SPEC_DECODERS[name](value, where), where)
     return fields
 
 
@@ -217,7 +218,7 @@ def spec_from_dict(raw: dict) -> DesignSpec:
     for f in dataclasses.fields(DesignSpec):
         if f.default is dataclasses.MISSING:
             _require(raw, f.name, "config")
-    fields = _spec_fields(raw, "config")
+    fields = _spec_fields({k: v for k, v in raw.items() if k != "outer_loop"}, "config")
     return _validated(lambda: DesignSpec(**fields), "config")
 
 
@@ -232,9 +233,8 @@ def _outer_points(raw, spec: DesignSpec) -> Optional[list[dict]]:
         context = f"outer_loop[{i}]"
         if not isinstance(point, dict):
             raise SchemaError(f"{context}: expected an object, got {type(point).__name__}")
-        for name in point:
-            if name not in _SPEC_DECODERS or name == "seed":  # point i runs with seed ^ i
-                raise SchemaError(f"{context}: cannot set {name!r}")
+        if "seed" in point:  # point i runs with seed ^ i
+            raise SchemaError(f"{context}: cannot set 'seed'")
         fields = _spec_fields(point, context)
         _validated(lambda: dataclasses.replace(spec, **fields), context)
         points.append(fields)
@@ -358,9 +358,13 @@ def read_trace_summary(path: Path) -> TraceSummary:
     initial = _number(meta, "initial_pslr_db", f"{path}: meta")
     if iterations and abs(final - best_prev) > 1e-12:
         raise SchemaError(f"{path}: summary final PSLR does not match the last record")
+    termination = _require(summary, "termination", context)
+    if termination not in TERMINATIONS:
+        raise SchemaError(f"{context}.termination: expected one of {', '.join(TERMINATIONS)}, "
+                          f"got {termination!r}")
     return TraceSummary(
         iterations=len(iterations),
-        termination=str(_require(summary, "termination", context)),
+        termination=termination,
         initial_pslr_db=initial,
         final_pslr_db=final,
         improvements=improvements,

@@ -36,6 +36,9 @@ from .metrics import LobeLeavesBand, check_lobe_sampling, fov_band, pslr, scorin
 # Span (dB) of the last three best-PSLR checkpoints below which the search
 # is declared converged.
 PLATEAU_WINDOW_DB = 0.5
+# Why a search stops: its iteration budget is spent, the desired PSLR is
+# reached, or the best PSLR has plateaued.
+TERMINATIONS = BUDGET, PSLR_REACHED, PLATEAU = ("budget", "pslr-reached", "plateau")
 _EPS = 1e-9
 
 
@@ -114,16 +117,11 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class OptimizerTrace:
-    """Per-iteration search history of one optimizer run.
-
-    ``accepted_layouts`` holds the layout adopted at each accepted iteration
-    (the initial layout first), so constraint preservation can be audited.
-    """
+    """Per-iteration search history of one optimizer run."""
 
     records: tuple[IterationRecord, ...]
     initial_pslr_db: float
     termination: str
-    accepted_layouts: tuple[ArrayLayout, ...] = ()
 
     @property
     def improvements(self) -> int:
@@ -217,10 +215,6 @@ def snap_to_grid(
     return out
 
 
-def _layout_valid(layout: ArrayLayout, zones: Sequence[ForbiddenZone]) -> bool:
-    return not check_overlap(layout) and not check_forbidden_zones(layout, zones)
-
-
 def _shuffle_axis(
     positions: Sequence[Coord],
     enforced: frozenset[Coord],
@@ -273,16 +267,15 @@ def propose_candidate(
     returned with a stagnation flag.
 
     ``current`` must satisfy the overlap and zone constraints, as the
-    optimizer's best layout does: a shuffle re-checks the whole layout, but a
-    single-element move checks only the moved element against the others.
+    optimizer's best layout does: only the elements the move changed are
+    checked, each against the candidate's other elements and every zone.
     """
     two_d = current.grid.N > 1
     for _ in range(32):
         group = "tx" if rng.random() < 0.5 else "rx"
         positions = current.tx_positions if group == "tx" else current.rx_positions
         enforced = frozenset(current.enforced_tx if group == "tx" else current.enforced_rx)
-        shuffle = intensity < 1 or rng.random() < 0.5
-        if shuffle:
+        if intensity < 1 or rng.random() < 0.5:
             axis = int(rng.integers(2)) if two_d else 0
             moved = _shuffle_axis(positions, enforced, axis, rng)
             if moved is None:
@@ -304,11 +297,11 @@ def propose_candidate(
             )
         except LayoutError:
             continue
-        if shuffle:
-            valid = _layout_valid(candidate, zones)
-        else:
-            valid = not element_conflicts(current, group, i, moved[i], zones)
-        if valid:
+        if not any(
+            element_conflicts(candidate, group, j, node, zones)
+            for j, node in enumerate(moved)
+            if node != positions[j]
+        ):
             return candidate, False
     return current, True
 
@@ -493,11 +486,10 @@ def optimize(spec: DesignSpec) -> tuple[ArrayLayout, OptimizerTrace]:
     best_pslr = score(layout)
     initial = best_pslr
     records: list[IterationRecord] = []
-    accepted_layouts: list[ArrayLayout] = [layout]
     checkpoints: deque[float] = deque(maxlen=3)
-    termination = "budget"
+    termination = BUDGET
     if best_pslr >= spec.desired_pslr_db:
-        termination = "pslr-reached"
+        termination = PSLR_REACHED
     else:
         for k in range(1, spec.k_max + 1):
             candidate, stagnated = propose_candidate(best, rng, spec.intensity, spec.zones)
@@ -505,10 +497,9 @@ def optimize(spec: DesignSpec) -> tuple[ArrayLayout, OptimizerTrace]:
             accepted = candidate_pslr > best_pslr
             if accepted:
                 best, best_pslr = candidate, candidate_pslr
-                accepted_layouts.append(candidate)
             records.append(IterationRecord(k, candidate_pslr, best_pslr, accepted))
             if best_pslr >= spec.desired_pslr_db:
-                termination = "pslr-reached"
+                termination = PSLR_REACHED
                 break
             if spec.plateau_interval and k % spec.plateau_interval == 0:
                 checkpoints.append(best_pslr)
@@ -516,13 +507,12 @@ def optimize(spec: DesignSpec) -> tuple[ArrayLayout, OptimizerTrace]:
                     len(checkpoints) == 3
                     and checkpoints[-1] - checkpoints[0] <= PLATEAU_WINDOW_DB
                 ):
-                    termination = "plateau"
+                    termination = PLATEAU
                     break
     trace = OptimizerTrace(
         records=tuple(records),
         initial_pslr_db=initial,
         termination=termination,
-        accepted_layouts=tuple(accepted_layouts),
     )
     return best, trace
 
@@ -557,15 +547,8 @@ def outer_loop(
             results = list(pool.map(_run_point, subs))
     else:
         results = [_run_point(sub) for sub in subs]
-    best: Optional[tuple[DesignSpec, ArrayLayout, OptimizerTrace]] = None
-    best_pslr = -math.inf
-    for sub, result in zip(subs, results):
-        if result is None:
-            continue
-        layout, trace = result
-        if trace.final_pslr_db > best_pslr:
-            best = (sub, layout, trace)
-            best_pslr = trace.final_pslr_db
-    if best is None:
+    feasible = [(sub, *result) for sub, result in zip(subs, results) if result is not None]
+    if not feasible:
         raise InfeasibleSpecError("every hyperparameter point was infeasible")
-    return best
+    # max keeps the first of equal maxima: ties go to the smallest point index.
+    return max(feasible, key=lambda run: run[2].final_pslr_db)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import saf.optimizer
 from saf import ArrayLayout, ElementSize, GridSpec
 
 
@@ -157,6 +158,25 @@ def dirichlet_magnitude(n: int, d_lambda: float, u):
     nz = np.abs(den) > 1e-12
     out[nz] = np.abs(num[nz] / den[nz])
     return out
+
+
+@pytest.fixture
+def proposed_from(monkeypatch):
+    """The ``current`` layout of each ``propose_candidate`` call the optimizer makes, in order.
+
+    The optimizer always proposes from its best layout, so these are the
+    initial layout and each adopted one; only a layout adopted at the last
+    iteration is missing, and ``optimize`` returns it.
+    """
+    seen = []
+    propose = saf.optimizer.propose_candidate
+
+    def recording(current, *args, **kwargs):
+        seen.append(current)
+        return propose(current, *args, **kwargs)
+
+    monkeypatch.setattr(saf.optimizer, "propose_candidate", recording)
+    return seen
 
 
 @pytest.fixture

@@ -436,6 +436,9 @@ def _saf_log(tmp_path, monkeypatch):
         pytest.param(lambda t, m: _design(t, n_tx=1, n_rx=1), 2, "", id="design-1x1-degenerate"),
         pytest.param(lambda t, m: _design(t, desired_pslr_db=math.nan), 2, "",
                      id="design-nan-pslr-goal"),
+        # A misspelt key used to be dropped, and the run went on with the default.
+        pytest.param(lambda t, m: _design(t, kmax_typo=99999), 2, "cannot set 'kmax_typo'",
+                     id="design-unknown-config-key"),
         pytest.param(_saf_log, 2, "", id="invalid-saf-log"),
         # JSON values of the wrong type are refused, not converted.
         pytest.param(lambda t, m: _design(t, use_hia="false"), 2, "config.use_hia",
@@ -698,9 +701,14 @@ class TestReadersOnFuzzedInput:
         ([_META, {**_ITERATION, "accepted": "no"}, _SUMMARY], "iteration 1.accepted"),
         ([_META, _ITERATION, {**_SUMMARY, "iterations": True}], "summary.iterations"),
         ([_META, _ITERATION, {**_SUMMARY, "improvements": True}], "summary.improvements"),
-    ], ids=["k-true", "accepted-1", "accepted-string", "iterations-true", "improvements-true"])
+        ([_META, _ITERATION, {**_SUMMARY, "termination": None}], "summary.termination"),
+        ([_META, _ITERATION, {**_SUMMARY, "termination": 3}], "summary.termination"),
+        ([_META, _ITERATION, {**_SUMMARY, "termination": "done"}], "summary.termination"),
+    ], ids=["k-true", "accepted-1", "accepted-string", "iterations-true", "improvements-true",
+            "termination-null", "termination-number", "termination-unknown"])
     def test_trace_types_are_not_converted(self, records, field, tmp_path, capsys):
-        # JSON true equals 1 and any non-empty string is truthy: both used to pass.
+        # JSON true equals 1 and any non-empty string is truthy: both used to pass,
+        # as did any termination, printed through str().
         assert main(_report(tmp_path, *records)) == 2
         assert field in capsys.readouterr().err
 

@@ -249,10 +249,28 @@ class TestProposeCandidate:
                 checked += 1
         assert checked > 20
 
-    def test_zone_constraints_hold_throughout_optimization(self):
+    def test_2d_candidates_satisfy_constraints(self):
+        # A shuffle moves several elements at once; on a plane two of them can
+        # land on each other, which checking each against the pre-move layout misses.
+        grid = GridSpec(1.0, 1.0, 30, 12)
+        size = ElementSize(2.0, 3.0)
+        layout = ArrayLayout(grid, [(0, 0), (4, 4), (9, 8), (14, 1), (20, 5)],
+                             [(2, 9), (7, 2), (12, 5), (17, 9), (25, 1)], size, size)
+        zones = (ForbiddenZone(2.0, 1.5, center=(24, 8)),)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            current = layout
+            for _ in range(200):
+                current, _ = propose_candidate(current, rng, intensity=3, zones=zones)
+                assert check_overlap(current) == []
+                assert check_forbidden_zones(current, zones) == []
+
+    def test_zone_constraints_hold_throughout_optimization(self, proposed_from):
         zones = (ForbiddenZone(2.0, 1.0, center=(16, 0), kind="both-excluded"),)
-        _, trace = optimize(linear_spec(k_max=250, seed=6, zones=zones))
-        for accepted in trace.accepted_layouts:
+        layout, trace = optimize(linear_spec(k_max=250, seed=6, zones=zones))
+        adopted = list(dict.fromkeys([*proposed_from, layout]))
+        assert len(adopted) == trace.improvements + 1
+        for accepted in adopted:
             assert check_forbidden_zones(accepted, zones) == []
             assert check_overlap(accepted) == []
 
@@ -406,6 +424,12 @@ class TestOuterLoop:
             finals.append(trace.final_pslr_db)
         _, _, best_trace = outer_loop(spec, points)
         assert best_trace.final_pslr_db == pytest.approx(max(finals), abs=1e-12)
+
+    def test_tie_keeps_the_first_point(self):
+        # Any PSLR reaches a goal of -inf, so every point keeps the same initial layout.
+        spec = linear_spec(desired_pslr_db=-math.inf)
+        sub, _, _ = outer_loop(spec, [{"intensity": 2}, {"intensity": 1}, {"intensity": 2}])
+        assert sub.intensity == 2 and sub.seed == spec.seed
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
