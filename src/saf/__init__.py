@@ -1,5 +1,13 @@
 """saf: design and evaluation of uniform sparse MIMO antenna arrays."""
 
+import os as _os
+
+# One OpenBLAS thread, set before numpy loads OpenBLAS: a second thread spins a
+# core through the whole search, and the thread count changes the last bits of
+# the beamformer's matrix product, so output bytes would depend on the host's
+# cores. A value the caller set is kept.
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .beamforming import (

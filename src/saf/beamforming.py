@@ -211,13 +211,28 @@ def synthesize_snapshot(vrx: VirtualArray, targets: Sequence[Target]) -> np.ndar
     return snapshot
 
 
+def _row_sums(snapshot: np.ndarray, u_rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """sum_p snapshot[p] u_rows[p] over each run of rows that begins at ``starts``.
+
+    One vector-matrix product per run: faster than weighting every row and
+    then calling ``np.add.reduceat``, which reduces column by column.
+    """
+    out = np.empty((starts.size, u_rows.shape[1]), dtype=complex)
+    bounds = [*starts.tolist(), len(u_rows)]
+    for r, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        np.matmul(snapshot[start:end], u_rows[start:end], out=out[r])
+    return out
+
+
 def beamform(vrx: VirtualArray, snapshot: np.ndarray, grid: UVGrid) -> Pattern:
     """Beamform a snapshot over a sine-space grid.
 
     Evaluates value(u, v) = sum_p snapshot[p] e^{-j 2 pi (y_p u + z_p v)} using
-    the separable structure of grid-aligned VRX positions: the grid's u and v
-    phasor rows of each VRX column and row combine through one complex matrix
-    product instead of a per-node double loop.
+    the separable structure of grid-aligned VRX positions. The VRX are sorted
+    by (n, m), so each VRX row is one run: its snapshot values times its u
+    phasor rows give the row's sum over u (one vector-matrix product per row).
+    The v phasor rows of the R distinct rows then combine with those R sums in
+    one (n_v, R) x (R, n_u) complex matrix product.
     """
     snapshot = np.asarray(snapshot, dtype=complex)
     if snapshot.size != vrx.unique_count:
@@ -226,5 +241,6 @@ def beamform(vrx: VirtualArray, snapshot: np.ndarray, grid: UVGrid) -> Pattern:
         )
     u_table, v_table = grid.phasors(vrx.grid)
     m, n = np.array(vrx.vrx_positions).T
-    values = (v_table.gather(n) * snapshot[:, None]).T @ u_table.gather(m)
+    starts = np.flatnonzero(np.diff(n, prepend=-1))
+    values = v_table.gather(n[starts]).T @ _row_sums(snapshot, u_table.gather(m), starts)
     return Pattern(grid=grid, values=values, vrx=vrx)

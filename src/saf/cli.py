@@ -89,6 +89,16 @@ def _parse_target(text: str) -> Target:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _threads(text: str) -> int:
+    try:
+        threads = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
+    return threads
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="saf", description="Design and evaluate uniform sparse MIMO antenna arrays."
@@ -100,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--config", required=True, type=Path, help="design config JSON")
     design.add_argument("--out", required=True, type=Path, help="output directory")
     design.add_argument("--seed", type=int, default=None, help="override the config seed")
-    design.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    design.add_argument("--threads", type=_threads, default=os.cpu_count() or 1)
     design.add_argument(
         "--grid-oversample", type=int, default=None, help="override q_phi and q_theta"
     )

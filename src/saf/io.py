@@ -43,6 +43,16 @@ def _require(mapping, key: str, context: str):
     return mapping[key]
 
 
+def _known(raw, keys, context: str) -> dict:
+    """``raw`` as an object whose keys are all in ``keys``; any other key is refused."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{context}: expected an object, got {type(raw).__name__}")
+    for key in raw:
+        if key not in keys:
+            raise SchemaError(f"{context}: cannot set {key!r}")
+    return raw
+
+
 def _validated(make, context: str):
     """``make()``, with the type and value errors of bad input reported as schema errors."""
     try:
@@ -63,6 +73,12 @@ def _int(raw, context: str) -> int:
 def _bool(raw, context: str) -> bool:
     if not isinstance(raw, bool):
         raise SchemaError(f"{context}: expected true or false, got {raw!r}")
+    return raw
+
+
+def _str(raw, context: str) -> str:
+    if not isinstance(raw, str):
+        raise SchemaError(f"{context}: expected a string, got {raw!r}")
     return raw
 
 
@@ -104,6 +120,7 @@ def _coords(raw, context: str) -> tuple[Coord, ...]:
 
 
 def _size_from(raw: dict, context: str) -> ElementSize:
+    _known(raw, ("w", "h"), context)
     width, height = _number(raw, "w", context), _number(raw, "h", context)
     return _validated(lambda: ElementSize(width, height), context)
 
@@ -124,6 +141,7 @@ def zone_to_dict(zone: ForbiddenZone) -> dict:
 
 
 def zone_from_dict(raw: dict, context: str = "zone") -> ForbiddenZone:
+    _known(raw, ("y_mc", "z_mc", "center", "kind"), context)
     center = _coord(_require(raw, "center", context), f"{context}.center")
     return _validated(
         lambda: ForbiddenZone(
@@ -149,7 +167,9 @@ def layout_to_dict(layout: ArrayLayout, zones: Sequence[ForbiddenZone] = ()) -> 
 
 
 def layout_from_dict(raw: dict) -> tuple[ArrayLayout, tuple[ForbiddenZone, ...]]:
-    grid_raw = _require(raw, "grid", "layout")
+    _known(raw, ("grid", "tx", "rx", "tx_size", "rx_size", "enforced_tx", "enforced_rx", "zones"),
+           "layout")
+    grid_raw = _known(_require(raw, "grid", "layout"), ("d_y", "d_z", "M", "N"), "grid")
     grid = _validated(
         lambda: GridSpec(
             _number(grid_raw, "d_y", "grid"), _number(grid_raw, "d_z", "grid"),
@@ -187,7 +207,7 @@ def load_layout(path: Path) -> tuple[ArrayLayout, tuple[ForbiddenZone, ...]]:
 # One decoder per DesignSpec field type. Defaults live only in DesignSpec: a
 # field missing from a config keeps its dataclass default.
 _DECODERS = {
-    str: lambda raw, context: str(raw),
+    str: _str,
     int: _int,
     bool: _bool,
     float: _float,
@@ -206,9 +226,7 @@ def spec_to_dict(spec: DesignSpec) -> dict:
 def _spec_fields(raw: dict, context: str) -> dict:
     """The DesignSpec fields in ``raw``, each decoded by its field type; any other key is refused."""
     fields = {}
-    for name, value in raw.items():
-        if name not in _SPEC_DECODERS:
-            raise SchemaError(f"{context}: cannot set {name!r}")
+    for name, value in _known(raw, _SPEC_DECODERS, context).items():
         where = f"{context}.{name}"
         fields[name] = _validated(lambda: _SPEC_DECODERS[name](value, where), where)
     return fields
@@ -231,11 +249,9 @@ def _outer_points(raw, spec: DesignSpec) -> Optional[list[dict]]:
     points = []
     for i, point in enumerate(raw):
         context = f"outer_loop[{i}]"
-        if not isinstance(point, dict):
-            raise SchemaError(f"{context}: expected an object, got {type(point).__name__}")
-        if "seed" in point:  # point i runs with seed ^ i
-            raise SchemaError(f"{context}: cannot set 'seed'")
         fields = _spec_fields(point, context)
+        if "seed" in fields:  # point i runs with seed ^ i
+            raise SchemaError(f"{context}: cannot set 'seed'")
         _validated(lambda: dataclasses.replace(spec, **fields), context)
         points.append(fields)
     return points

@@ -4,11 +4,14 @@ import math
 from collections import deque
 from pathlib import Path
 
+# saf before numpy: importing saf pins OpenBLAS to one thread, which only
+# holds if numpy has not loaded OpenBLAS yet.
+import saf.optimizer  # isort: skip
 import numpy as np
 import pytest
 
-import saf.optimizer
 from saf import ArrayLayout, ElementSize, GridSpec
+from saf.beamforming import _row_sums
 
 
 def small_size(w: float = 0.4, h: float = 0.4) -> ElementSize:
@@ -49,13 +52,14 @@ def direct_pattern(coords_wl, snapshot, u_samples, v_samples):
 def per_call_pattern(vrx, snapshot, grid):
     """Separable beamforming with every phasor evaluated on the call: a bit-for-bit oracle.
 
-    The same float products and matrix product as ``beamform``, without its
-    per-grid phasor tables.
+    The same float products, VRX row sums and matrix product as ``beamform``,
+    without its per-grid phasor tables.
     """
     coords = vrx.positions_wavelengths()
+    starts = np.flatnonzero(np.diff(coords[:, 1], prepend=-np.inf))
     u_phasors = np.exp(-2j * np.pi * np.outer(coords[:, 0], grid.u_samples))
-    v_phasors = np.exp(-2j * np.pi * np.outer(coords[:, 1], grid.v_samples))
-    return (v_phasors * np.asarray(snapshot, dtype=complex)[:, None]).T @ u_phasors
+    v_phasors = np.exp(-2j * np.pi * np.outer(coords[starts, 1], grid.v_samples))
+    return v_phasors.T @ _row_sums(np.asarray(snapshot, dtype=complex), u_phasors, starts)
 
 
 def reference_main_lobe(mag, iv, iu):

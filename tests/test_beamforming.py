@@ -185,6 +185,20 @@ class TestBeamform:
             slow = direct_pattern(vrx.positions_wavelengths(), snap, grid2d.u_samples, grid2d.v_samples)
             assert_allclose(fast, slow, rtol=1e-10, atol=1e-9)
 
+    @pytest.mark.parametrize("tx, rx, rows", [
+        ([(0, 3), (5, 3)], [(m, 2) for m in (0, 1, 3, 7, 8)], 1),
+        ([(2, 0)], [(0, 0), (4, 1), (1, 3), (7, 4), (3, 6)], 5),
+    ], ids=["all-vrx-on-one-row", "one-vrx-per-row"])
+    def test_matches_direct_summation_at_either_extreme_of_rows(self, tx, rx, rows, rng):
+        layout = ArrayLayout(GridSpec(0.5, 0.5, 10, 10), tx, rx, small_size(), small_size())
+        vrx = build_virtual_array(layout)
+        assert len({n for _m, n in vrx.vrx_positions}) == rows
+        grid2d = make_uv_grid(8, 8, 4, 4)
+        snap = rng.standard_normal(vrx.unique_count) + 1j * rng.standard_normal(vrx.unique_count)
+        fast = beamform(vrx, snap, grid2d).values
+        slow = direct_pattern(vrx.positions_wavelengths(), snap, grid2d.u_samples, grid2d.v_samples)
+        assert_allclose(fast, slow, rtol=1e-10, atol=1e-9)
+
     def test_shared_grid_keeps_the_bits_of_per_call_phasors(self, rng):
         # One grid serves layouts whose VRX cover different rows and columns, so
         # its phasor tables grow between calls; every pattern keeps the bits.

@@ -2,6 +2,9 @@ import errno
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -21,6 +24,7 @@ from saf import (
     UVGrid,
     beamform,
     build_virtual_array,
+    check_overlap,
     evaluate_layout,
     make_uv_cut,
     make_uv_grid,
@@ -439,6 +443,21 @@ def _saf_log(tmp_path, monkeypatch):
         # A misspelt key used to be dropped, and the run went on with the default.
         pytest.param(lambda t, m: _design(t, kmax_typo=99999), 2, "cannot set 'kmax_typo'",
                      id="design-unknown-config-key"),
+        # So was one inside a zone, an element size or a layout file: a misspelt zone kind
+        # made a both-excluded zone, a misspelt enforced_tx enforced nothing.
+        pytest.param(lambda t, m: _design(t, zones=[{"y_mc": 1.0, "z_mc": 1.0, "center": [4, 0],
+                                                     "kidn": "tx-excluded"}]),
+                     2, "config.zones[0]: cannot set 'kidn'", id="design-zone-unknown-key"),
+        pytest.param(lambda t, m: _design(t, tx_size={"w": 0.4, "h": 0.4, "d": 0.4}), 2,
+                     "config.tx_size: cannot set 'd'", id="design-size-unknown-key"),
+        pytest.param(lambda t, m: _evaluate(t, {**layout_to_dict(ula_layout(4)),
+                                                "enforced_txx": [[0, 0]]}),
+                     2, "layout: cannot set 'enforced_txx'", id="layout-unknown-key"),
+        pytest.param(lambda t, m: _evaluate(t, {**layout_to_dict(ula_layout(4)),
+                                                "grid": {"d_y": 0.5, "d_z": 0.5, "M": 4, "N": 1, "n": 2}}),
+                     2, "grid: cannot set 'n'", id="layout-grid-unknown-key"),
+        pytest.param(lambda t, m: _design(t) + ["--threads", "-3"], 2, "argument --threads",
+                     id="design-threads-below-one"),
         pytest.param(_saf_log, 2, "", id="invalid-saf-log"),
         # JSON values of the wrong type are refused, not converted.
         pytest.param(lambda t, m: _design(t, use_hia="false"), 2, "config.use_hia",
@@ -448,6 +467,8 @@ def _saf_log(tmp_path, monkeypatch):
         pytest.param(lambda t, m: _design(t, intensity="3"), 2, "config.intensity",
                      id="config-int-as-string"),
         pytest.param(lambda t, m: _design(t, seed=1.9), 2, "config.seed", id="config-seed-as-float"),
+        pytest.param(lambda t, m: _design(t, dimensionality=1), 2,
+                     "config.dimensionality: expected a string, got 1", id="config-string-as-number"),
         # A 1-degree uFOV (true read as 1.0) is feasible only on a wide, finely sampled aperture.
         pytest.param(lambda t, m: _design(t, target_ufov_az=True, q_phi=64,
                                           target_hpbw_az=math.degrees(0.886 / 400)),
@@ -493,9 +514,16 @@ def _saf_log(tmp_path, monkeypatch):
 def test_exit_code_contract(argv, code, field, tmp_path, monkeypatch, capsys):
     argv = argv(tmp_path, monkeypatch)
     before = _contents(tmp_path / "o")
-    assert main(argv) == code
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    try:
+        assert main(argv) == code
+    except SystemExit as exited:
+        # Refused by the argument parser: its usage, then one error line.
+        assert exited.code == code
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and ": error: " in err.splitlines()[-1]
+    else:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err
     assert _contents(tmp_path / "o") == before
 
@@ -544,11 +572,21 @@ def test_spec_hash_covers_the_command_line_overrides(tmp_path):
     assert manifest["spec_hash"] == expected
 
 
+def _layout_12x16(seed: int) -> ArrayLayout:
+    """12 TX and 16 RX of 2 x 5 wavelengths at random, non-overlapping nodes of the README's grid."""
+    rng = np.random.default_rng(seed)
+    grid, size = GridSpec(0.5, 1.0, 65, 36), ElementSize(2.0, 5.0)
+    tx, rx = [], []
+    for placed, want in ((tx, 12), (rx, 16)):
+        while len(placed) < want:
+            placed.append((int(rng.integers(grid.M)), int(rng.integers(grid.N))))
+            if check_overlap(ArrayLayout(grid, tx, rx, size, size)):
+                placed.pop()
+    return ArrayLayout(grid, tx, rx, size, size)
+
+
 class TestSubprocessEntryPoint:
     def test_module_invocation(self, tmp_path):
-        import subprocess
-        import sys
-
         config = tmp_path / "design.json"
         config.write_text(json.dumps(design_config(k_max=20)))
         out = tmp_path / "run"
@@ -567,6 +605,23 @@ class TestSubprocessEntryPoint:
         )
         assert report.returncode == 0
         assert "termination:" in report.stdout
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # Left unset, OPENBLAS_NUM_THREADS is set to 1 by saf itself. A second
+        # OpenBLAS thread changes the last bits of the beamformer's matrix product.
+        save_layout(_layout_12x16(0), tmp_path / "layout.json")
+        unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        written = []
+        for env in (unset, {**unset, "OPENBLAS_NUM_THREADS": "1"}):
+            out = tmp_path / f"o{len(written)}"
+            result = subprocess.run(
+                [sys.executable, "-m", "saf.cli", "evaluate", "--layout", str(tmp_path / "layout.json"),
+                 "--out", str(out), "--grid-oversample", "4"],
+                capture_output=True, text=True, env=env,
+            )
+            assert result.returncode == 0, result.stderr
+            written.append(_contents(out))
+        assert written[0] == written[1]
 
 
 class TestReportCommand:
