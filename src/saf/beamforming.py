@@ -174,6 +174,10 @@ class Target:
             raise ValueError(f"target ({self.u}, {self.v}) lies outside the real-angle disk")
 
 
+# The default scene: one unit target at broadside.
+BROADSIDE = (Target(0.0, 0.0, 1.0 + 0.0j),)
+
+
 @dataclass(frozen=True)
 class Pattern:
     """Received-signal pattern over a UVGrid; values indexed [v, u]."""
@@ -240,7 +244,7 @@ def beamform(vrx: VirtualArray, snapshot: np.ndarray, grid: UVGrid) -> Pattern:
             f"snapshot length {snapshot.size} does not match VRX count {vrx.unique_count}"
         )
     u_table, v_table = grid.phasors(vrx.grid)
-    m, n = np.array(vrx.vrx_positions).T
+    m, n = vrx.vrx_positions.T
     starts = np.flatnonzero(np.diff(n, prepend=-1))
     values = v_table.gather(n[starts]).T @ _row_sums(snapshot, u_table.gather(m), starts)
     return Pattern(grid=grid, values=values, vrx=vrx)

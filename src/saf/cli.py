@@ -110,7 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--config", required=True, type=Path, help="design config JSON")
     design.add_argument("--out", required=True, type=Path, help="output directory")
     design.add_argument("--seed", type=int, default=None, help="override the config seed")
-    design.add_argument("--threads", type=_threads, default=os.cpu_count() or 1)
+    # The CPUs this process may run on, which under taskset can be fewer than the host's.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    design.add_argument("--threads", type=_threads, default=cpus)
     design.add_argument(
         "--grid-oversample", type=int, default=None, help="override q_phi and q_theta"
     )

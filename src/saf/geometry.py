@@ -153,24 +153,29 @@ class ArrayLayout:
         return len(self.rx_positions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VirtualArray:
     """Virtual receiver set: componentwise sums of TX and RX coordinates.
 
     ``generated_count`` counts every TX/RX pair; ``vrx_positions`` is the
-    de-duplicated set in row-major (n, m) order, so ``unique_count`` can be
-    smaller when different pairs land on the same grid node. The virtual grid
-    spans twice the physical aperture.
+    read-only (P, 2) integer array of the distinct sums, one (m, n) row per
+    VRX in row-major (n, m) order, so ``unique_count`` can be smaller when
+    different pairs land on the same grid node. The virtual grid spans twice
+    the physical aperture. Instances compare by identity, since ``==`` on an
+    array field gives no single bool.
     """
 
-    vrx_positions: tuple[Coord, ...]
+    vrx_positions: np.ndarray
     generated_count: int
-    unique_count: int
     grid: GridSpec
+
+    @property
+    def unique_count(self) -> int:
+        return len(self.vrx_positions)
 
     def positions_wavelengths(self) -> np.ndarray:
         """VRX positions as a (P, 2) array of (y, z) wavelength coordinates."""
-        return self.grid.to_wavelengths(self.vrx_positions)
+        return self.vrx_positions * np.array([self.grid.d_y, self.grid.d_z])
 
 
 def build_virtual_array(layout: ArrayLayout) -> VirtualArray:
@@ -181,20 +186,15 @@ def build_virtual_array(layout: ArrayLayout) -> VirtualArray:
     """
     if not layout.tx_positions or not layout.rx_positions:
         raise LayoutError("virtual array requires at least one TX and one RX element")
-    sums = {
-        (tm + rm, tn + rn)
-        for (tm, tn) in layout.tx_positions
-        for (rm, rn) in layout.rx_positions
-    }
-    ordered = tuple(sorted(sums, key=lambda p: (p[1], p[0])))
     g = layout.grid
+    if max(g.M, g.N) > 2**62:  # a sum of two coordinates must fit in int64
+        raise LayoutError(f"grid {g.M}x{g.N} exceeds 2^62 nodes along an axis")
+    sums = (np.array(layout.tx_positions)[:, None] + np.array(layout.rx_positions)).reshape(-1, 2)
+    sums = sums[np.lexsort((sums[:, 0], sums[:, 1]))]
+    vrx = sums[np.r_[True, (sums[1:] != sums[:-1]).any(1)]]
+    vrx.flags.writeable = False
     virtual_grid = GridSpec(g.d_y, g.d_z, 2 * g.M - 1, 2 * g.N - 1)
-    return VirtualArray(
-        vrx_positions=ordered,
-        generated_count=layout.n_tx * layout.n_rx,
-        unique_count=len(ordered),
-        grid=virtual_grid,
-    )
+    return VirtualArray(vrx_positions=vrx, generated_count=layout.n_tx * layout.n_rx, grid=virtual_grid)
 
 
 def _elements(layout: ArrayLayout):

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .beamforming import Pattern
-from .geometry import ArrayLayout, Coord, ElementSize, ForbiddenZone, GridSpec
+from .geometry import BOTH_EXCLUDED, ArrayLayout, Coord, ElementSize, ForbiddenZone, GridSpec
 from .metrics import MetricsReport
 from .optimizer import TERMINATIONS, DesignSpec, OptimizerTrace
 
@@ -146,7 +146,7 @@ def zone_from_dict(raw: dict, context: str = "zone") -> ForbiddenZone:
     return _validated(
         lambda: ForbiddenZone(
             _number(raw, "y_mc", context), _number(raw, "z_mc", context), center,
-            raw.get("kind", "both-excluded"),
+            raw.get("kind", BOTH_EXCLUDED),
         ),
         context,
     )

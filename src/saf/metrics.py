@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .beamforming import (
+    BROADSIDE,
     FovRect,
     Pattern,
     Target,
@@ -371,9 +372,7 @@ def evaluate_layout(
     vrx = build_virtual_array(layout)
     check_lobe_sampling(layout.grid, q_phi, q_theta)
     grid = scoring_grid(layout.grid, q_phi, q_theta)
-    if targets is None:
-        targets = [Target(0.0, 0.0, 1.0 + 0.0j)]
-    snapshot = synthesize_snapshot(vrx, targets)
+    snapshot = synthesize_snapshot(vrx, BROADSIDE if targets is None else targets)
     pattern = beamform(vrx, snapshot, grid)
 
     fov = scoring_fov(layout.grid)
@@ -381,8 +380,8 @@ def evaluate_layout(
     peak = find_peak(pattern, fov)  # pslr's peak, not searched again: the beamwidth cuts go through it
 
     coords = vrx.positions_wavelengths()
-    ms, ns = zip(*vrx.vrx_positions)
-    reference = GridSpec(vrx.grid.d_y, vrx.grid.d_z, max(ms) - min(ms) + 1, max(ns) - min(ns) + 1)
+    m_size, n_size = (vrx.vrx_positions.max(0) - vrx.vrx_positions.min(0) + 1).tolist()
+    reference = GridSpec(vrx.grid.d_y, vrx.grid.d_z, m_size, n_size)
     t_ratio = thinning_ratio(layout, reference)
 
     d_min_y = min_axis_spacing(coords[:, 0])
@@ -423,12 +422,11 @@ def evaluate_layout(
     phys = layout.grid.to_wavelengths(layout.tx_positions + layout.rx_positions)
     phys_span_y = _span(phys[:, 0])
     phys_span_z = _span(phys[:, 1])
-    if span_z > 0 and phys_span_z > 0:
+    if span_z > 0 and phys_span_y > 0:
         alpha_ap = aperture_loss_factor(span_y * span_z, phys_span_y * phys_span_z, "2D")
-    elif phys_span_y > 0:
-        alpha_ap = aperture_loss_factor(span_y, phys_span_y, "1D")
-    else:
-        alpha_ap = 1.0
+    else:  # a line along y, or one column along z: all on one node is a degenerate pattern above
+        span, phys_span = (span_y, phys_span_y) if phys_span_y > 0 else (span_z, phys_span_z)
+        alpha_ap = aperture_loss_factor(span, phys_span, "1D")
 
     report = MetricsReport(
         pslr_db=pslr_db,

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .beamforming import Target, beamform, synthesize_snapshot
+from .beamforming import BROADSIDE, beamform, synthesize_snapshot
 from .geometry import (
     ArrayLayout,
     Coord,
@@ -459,24 +459,17 @@ def optimize(spec: DesignSpec) -> tuple[ArrayLayout, OptimizerTrace]:
     rng = np.random.default_rng(spec.seed)
     eval_grid = scoring_grid(grid, spec.q_phi, spec.q_theta)
     fov = scoring_fov(grid)
-    visible = eval_grid.visible(fov)
-    for name, lines, q in zip("uv", (visible.any(0), visible.any(1)), ("q_phi", "q_theta")):
-        inside = np.count_nonzero(lines)
-        if inside < min(2, lines.size):  # a linear array's v = 0 cut has one sample
-            raise InfeasibleSpecError(f"the target uFOV holds {inside} scoring sample(s) along "
-                                      f"{name}, too few for a PSLR; raise {q}")
     try:
         check_lobe_sampling(grid, spec.q_phi, spec.q_theta)
     except ValueError as exc:
         raise InfeasibleSpecError(str(exc)) from exc
     band = fov_band(eval_grid, fov)
     layout = _initial_layout(spec, grid)
-    broadside = [Target(0.0, 0.0, 1.0 + 0.0j)]
 
     def score(lay: ArrayLayout) -> float:
         # Every FOV node lies in the band; a lobe that may leave it is scored on the lattice.
         vrx = build_virtual_array(lay)
-        snapshot = synthesize_snapshot(vrx, broadside)
+        snapshot = synthesize_snapshot(vrx, BROADSIDE)
         try:
             return pslr(beamform(vrx, snapshot, band), fov)
         except LobeLeavesBand:

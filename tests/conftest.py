@@ -9,9 +9,13 @@ from pathlib import Path
 import saf.optimizer  # isort: skip
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from saf import ArrayLayout, ElementSize, GridSpec
 from saf.beamforming import _row_sums
+
+# `--hypothesis-profile=ci` replays the same examples on every run; local runs stay random.
+settings.register_profile("ci", derandomize=True)
 
 
 def small_size(w: float = 0.4, h: float = 0.4) -> ElementSize:

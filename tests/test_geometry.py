@@ -89,7 +89,7 @@ class TestVirtualArray:
             vrx = build_virtual_array(layout)
             assert vrx.generated_count == n_tx * n_rx
             brute = {(tm + rm, tn + rn) for tm, tn in tx for rm, rn in rx}
-            assert set(vrx.vrx_positions) == brute
+            assert set(map(tuple, vrx.vrx_positions.tolist())) == brute
             # invariant under group list permutation
             shuffled = ArrayLayout(
                 grid, list(reversed(tx)), list(reversed(rx)), small_size(), small_size()
@@ -105,7 +105,22 @@ class TestVirtualArray:
         tx2 = [(m + delta[0], n + delta[1]) for m, n in tx]
         rx2 = [(m - delta[0], n - delta[1]) for m, n in rx]
         moved = build_virtual_array(ArrayLayout(grid, tx2, rx2, small_size(), small_size()))
-        assert moved.vrx_positions == base.vrx_positions
+        assert np.array_equal(moved.vrx_positions, base.vrx_positions)
+
+    def test_sums_past_the_int64_key_range(self):
+        # On a 2^33 x 2^33 grid the key n (2M - 1) + m of a virtual node passes 2^63.
+        big = 2**33
+        tx = [(0, 0), (big - 1, big - 1), (1, big - 2)]
+        rx = [(0, 0), (big - 1, 0), (0, big - 1)]
+        vrx = build_virtual_array(ArrayLayout(GridSpec(0.5, 0.5, big, big), tx, rx, small_size(), small_size()))
+        sums = {(tm + rm, tn + rn) for tm, tn in tx for rm, rn in rx}
+        assert vrx.vrx_positions.tolist() == [list(p) for p in sorted(sums, key=lambda p: (p[1], p[0]))]
+
+    def test_sums_past_int64_refused(self):
+        big = 2**62 + 1
+        layout = ArrayLayout(GridSpec(0.5, 0.5, big, 1), [(big - 1, 0)], [(big - 1, 0)], small_size(), small_size())
+        with pytest.raises(LayoutError, match="exceeds 2\\^62 nodes"):
+            build_virtual_array(layout)
 
     def test_layout_invariants_enforced(self):
         grid = GridSpec(0.5, 0.5, 4, 1)

@@ -30,7 +30,7 @@ from saf import (
     make_uv_grid,
     synthesize_snapshot,
 )
-from saf.cli import main
+from saf.cli import build_parser, main
 from saf.io import (
     SchemaError,
     layout_from_dict,
@@ -273,6 +273,12 @@ class TestDesignCommand:
         out = tmp_path / "run"
         assert main(["design", "--config", str(config), "--out", str(out), "--threads", "1"]) == 0
         assert (out / "layout.json").exists()
+
+    def test_threads_default_is_the_cpus_the_process_may_run_on(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        args = build_parser().parse_args(["design", "--config", "design.json", "--out", "run"])
+        assert args.threads == 1
 
 
 class TestEvaluateCommand:

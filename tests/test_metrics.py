@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from saf import (
+    ArrayLayout,
+    ElementSize,
     GridSpec,
     Pattern,
     Peak,
@@ -31,9 +34,16 @@ from saf import (
     ufov,
     virtual_coverage_area,
 )
-from saf.beamforming import UVBand, UVGrid
-from saf.metrics import _LOBE_WINDOW, LobeLeavesBand, check_lobe_sampling, fov_band
-from conftest import dirichlet_magnitude, escaping_lobe, reference_main_lobe, reference_pslr, ula_layout
+from saf.beamforming import BROADSIDE, UVBand, UVGrid
+from saf.metrics import _LOBE_WINDOW, LobeLeavesBand, check_lobe_sampling, fov_band, scoring_grid
+from conftest import (
+    direct_pattern,
+    dirichlet_magnitude,
+    escaping_lobe,
+    reference_main_lobe,
+    reference_pslr,
+    ula_layout,
+)
 
 
 def ula_pattern(n, d_y=0.5, q=8, target=Target(0.0, 0.0)):
@@ -169,6 +179,61 @@ class TestMainLobeMask:
         lobe_v, lobe_u = np.nonzero(expected)
         assert np.maximum(abs(lobe_v - iv), abs(lobe_u - iu)).max() > _LOBE_WINDOW
         assert (mask_main_lobe(pattern, peak).mask == expected).all()
+
+
+@st.composite
+def small_layouts(draw):
+    """Random linear or planar layouts of up to 8 x 4 nodes, q <= 3, on spacings the lattice scores.
+
+    Each spacing is a fraction of its bound q / 2, the bound itself included.
+    The scene is the default broadside target or one or two random targets.
+    """
+    M = draw(st.integers(1, 8))
+    N = draw(st.sampled_from([1, 2, 3, 4]))
+    q_phi, q_theta = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    d_y, d_z = (q / 2.0 * draw(st.sampled_from([0.3, 0.5, 0.8, 1.0])) for q in (q_phi, q_theta))
+    nodes = st.tuples(st.integers(0, M - 1), st.integers(0, N - 1))
+    tx = draw(st.lists(nodes, min_size=1, max_size=4, unique=True))
+    rx = draw(st.lists(nodes, min_size=1, max_size=6, unique=True))
+    layout = ArrayLayout(GridSpec(d_y, d_z, M, N), tx, rx, ElementSize(0.1, 0.1), ElementSize(0.1, 0.1))
+    target = st.builds(Target, st.floats(-0.7, 0.7), st.floats(-0.7, 0.7),
+                       st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0))
+    targets = draw(st.none() | st.lists(target, min_size=1, max_size=2))
+    return layout, q_phi, q_theta, targets
+
+
+class TestDifferentialOracle:
+    """``evaluate_layout`` against brute-force sums, ``direct_pattern`` and ``reference_pslr``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_layouts())
+    def test_matches_brute_force(self, case):
+        layout, q_phi, q_theta, targets = case
+        g = layout.grid
+        sums = sorted({(tm + rm, tn + rn) for tm, tn in layout.tx_positions for rm, rn in layout.rx_positions},
+                      key=lambda p: (p[1], p[0]))
+        try:
+            pattern, report = evaluate_layout(layout, q_phi, q_theta, targets)
+        except ValueError:
+            # Only a FOV with no sidelobe to score is refused, and the reference refuses it too.
+            vrx = build_virtual_array(layout)
+            pattern = beamform(vrx, synthesize_snapshot(vrx, targets or BROADSIDE), scoring_grid(g, q_phi, q_theta))
+            with pytest.raises(ValueError):
+                reference_pslr(pattern.magnitude, pattern.grid.visible(scoring_fov(g)))
+            return
+        vrx = pattern.vrx.vrx_positions
+        assert vrx.dtype.kind == "i" and not vrx.flags.writeable
+        assert vrx.tolist() == [list(p) for p in sums]
+
+        coords = np.array(sums) * (g.d_y, g.d_z)
+        snapshot = sum(t.amplitude * np.exp(2j * np.pi * (coords[:, 0] * t.u + coords[:, 1] * t.v))
+                       for t in targets or BROADSIDE)
+        expected = direct_pattern(coords, snapshot, pattern.grid.u_samples, pattern.grid.v_samples)
+        assert np.abs(pattern.values - expected).max() <= 1e-9 * np.abs(expected).max()
+
+        assert report.pslr_db == reference_pslr(pattern.magnitude, pattern.grid.visible(scoring_fov(g)))
+        ms, ns = zip(*sums)
+        assert report.thinning_ratio == len(sums) / ((max(ms) - min(ms) + 1) * (max(ns) - min(ns) + 1))
 
 
 class TestPslr:
@@ -399,6 +464,28 @@ class TestLobeSampling:
         with pytest.raises(ValueError, match=message):
             check_lobe_sampling(GridSpec(d_y, d_z, 4, 4), q_phi, q_theta)
 
+    def test_refuses_every_fov_too_narrow_for_a_pslr(self):
+        # A FOV holding one lattice sample along u, or in 2D along v, has no PSLR.
+        # With two or more nodes along u, such a grid has a spacing above q / 2,
+        # so this rule alone keeps it from the optimizer. One node along u
+        # (M = 1) is left out: every VRX then shares one column, and the pattern
+        # is constant in u.
+        rng = np.random.default_rng(11)
+        short = [0, 0]
+        for M, N, q_phi, q_theta in itertools.product(range(1, 5), range(1, 4), range(1, 5), range(1, 5)):
+            spacings = [[0.5, *(q / 2.0 * f for f in (0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 1.5)),
+                         *rng.uniform(0.05, 2.0 * q, 2)] for q in (q_phi, q_theta)]
+            for d_y, d_z in itertools.product(*spacings):
+                grid = GridSpec(d_y, d_z, M, N)
+                visible = scoring_grid(grid, q_phi, q_theta).visible(scoring_fov(grid))
+                short_u, short_v = visible.any(0).sum() < 2, N >= 2 and visible.any(1).sum() < 2
+                if M >= 2 and (short_u or short_v):
+                    short[0] += short_u
+                    short[1] += short_v
+                    with pytest.raises(ValueError, match="exceeds"):
+                        check_lobe_sampling(grid, q_phi, q_theta)
+        assert min(short) > 100
+
 
 class TestEfficiencyFactors:
     def full(self):
@@ -460,6 +547,13 @@ class TestEvaluateLayout:
         monkeypatch.setattr(np, "argmax", counted)
         pattern, _ = evaluate_layout(ula_layout(16), q_phi=16)
         assert searches == [pattern.values.shape]
+
+    def test_single_column_is_a_line_along_z(self):
+        # One TX under a column of 6 RX: the virtual aperture equals the physical one.
+        layout = ArrayLayout(GridSpec(0.5, 0.5, 1, 6), [(0, 0)], [(0, n) for n in range(6)],
+                             ElementSize(0.1, 0.1), ElementSize(0.1, 0.1))
+        _, report = evaluate_layout(layout, q_phi=2, q_theta=4)
+        assert report.aperture_loss_factor == 0.5
 
     def test_min_axis_spacing(self):
         assert min_axis_spacing(np.array([0.0, 0.5, 1.5])) == pytest.approx(0.5)

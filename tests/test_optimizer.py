@@ -341,7 +341,7 @@ class TestOptimize:
         # d_z = 1/(2 sin 1 deg) over a 70-wavelength aperture: 24 v samples, one of them in the uFOV
         spec = linear_spec(dimensionality="2D", target_ufov_el=1.0,
                            target_hpbw_el=math.degrees(0.886 / 70.0005))
-        with pytest.raises(InfeasibleSpecError, match="1 scoring sample.* along v.*q_theta"):
+        with pytest.raises(InfeasibleSpecError, match="d_z = 28.6493 wavelengths exceeds q_theta / 2 = 4"):
             optimize(spec)
 
     def test_lobe_sampled_fewer_than_twice_rejected(self):
