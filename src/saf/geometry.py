@@ -281,13 +281,12 @@ def element_conflicts(
     )
 
 
-def thinning_ratio(layout: ArrayLayout, reference: GridSpec) -> float:
+def thinning_ratio(vrx: VirtualArray, reference: GridSpec) -> float:
     """Unique VRX count over the element count of a fully populated reference grid.
 
-    The reference must cover the layout's virtual aperture. A fully populated
-    array measured against its own virtual grid gives exactly 1.
+    The reference must cover the virtual aperture. A fully populated array
+    measured against its own virtual grid gives exactly 1.
     """
-    vrx = build_virtual_array(layout)
     coords = vrx.positions_wavelengths()
     span_y = float(coords[:, 0].max() - coords[:, 0].min())
     span_z = float(coords[:, 1].max() - coords[:, 1].min())

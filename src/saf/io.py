@@ -270,6 +270,133 @@ def spec_hash(raw_config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+# ``'%.17g' % x`` in numpy arithmetic. Where 1e-4 <= |x| < 1e16, '%.17g' prints
+# fixed notation: the 17 significant digits of |x|, rounded half to even as
+# CPython's dtoa rounds, with the point after digit E = floor(log10 |x|) (or
+# "0." and -E-1 zeros before them when E < 0), trailing zeros of the fraction
+# dropped, and the point too when no fraction is left. A field holds one
+# number in 32 bytes: byte 0 the sign, bytes 1-5 the "0." and zeros, bytes
+# 7-23 the digits, and one byte more once the point is put in; every byte in
+# between is NUL. The longest '%.17g' text of all has 24 bytes.
+#
+# The first call of a numpy loop in a process maps its machine code, 64 KB at
+# a time, and that counts in the peak RSS. Of the loops here, only int64 ``&``
+# and uint8 arithmetic do not already run while a pattern is scored; that is
+# why E comes from the binary exponent and not from ``np.log10``.
+_FIELD = 32
+_FIRST_DIGIT = 7
+_POW10 = np.array([float(10**k) for k in range(22)])  # every one an exact double
+# [i]: the double nearest 10**(i - 5).
+_TENS = np.array([1 / 10**-k for k in range(-5, 0)] + [float(10**k) for k in range(18)])
+_LOG10_2 = math.log10(2.0)
+_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
+_ASCII_ZEROS = int.from_bytes(b"0" * 8, "little")
+# [k]: the first k bytes of "0.000", as bytes 1-5 of a field's first int64.
+_LEADING = np.array([int.from_bytes(b"\0" + b"0.000"[:k], "little") for k in range(7)])
+# Row m: 1 for the bytes before digit m, 0 from there on.
+_BEFORE_DIGIT = (np.arange(_FIELD) < _FIRST_DIGIT + np.arange(18)[:, None]).astype(np.uint8)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = _SPLITTER * a
+    high = c - (c - a)
+    return high, a - high
+
+
+def _rounded_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b`` rounded to an integer, half to even, where the product lies in [2**53, 2**63).
+
+    Dekker's two-product gives ``a * b = p + e`` exactly, without an FMA. p is
+    then an even integer, so rounding e half to even rounds p + e half to even.
+    """
+    p = a * b
+    a_high, a_low = _split(a)
+    b_high, b_low = _split(b)
+    e = ((a_high * b_high - p) + a_high * b_low + a_low * b_high) + a_low * b_low
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _eight_digits(x: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each int64 ``x < 10**8``, one per byte, the first in the lowest.
+
+    Each step splits every lane of the word in two with a multiply and a shift
+    that divide exactly in the lane's range: 4-digit halves in 32-bit lanes,
+    then 2-digit quarters in 16-bit lanes, then digits in bytes. Lanes never
+    carry into each other, so ``+`` joins them.
+    """
+    half = (((x * 42949673) >> 32) * 42949673) >> 32  # x // 10**4: each step is // 100 below 2**30
+    x = half + ((x - half * 10000) << 32)
+    quarter = ((x * 10486) >> 20) & 0x0000007F0000007F  # // 100 below 43690
+    x = quarter + ((x - quarter * 100) << 16)
+    tens = ((x * 103) >> 10) & 0x000F000F000F000F  # // 10 below 170
+    return tens + ((x - tens * 10) << 8)
+
+
+def _highest_byte(words: np.ndarray) -> np.ndarray:
+    """Index of the highest nonzero byte of each int64 whose bytes are all 0-9.
+
+    It comes from the exponent of the int64 as a double, and is below -100
+    for 0. Rounding to a double cannot reach the next power of 2, because no
+    byte is above 9.
+    """
+    return ((words.astype(float).view(np.int64) >> 52) - 1023) >> 3
+
+
+def _g17_fields(x: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` for every v of the 1-D float64 array ``x``, as ASCII rows.
+
+    Row i of the (x.size, 32) uint8 result holds the text of ``x[i]`` with NUL
+    bytes in its gaps; ``bytes.translate(None, b"\\0")`` removes them.
+
+    Where 1e-4 <= |v| < 1e16 the 17 digits are ``|v| * 10**(16 - E)`` rounded
+    to an integer, exactly (``_rounded_product``). Zero, subnormals, inf, nan
+    and every other |v| are formatted by Python's ``'%.17g' %``.
+
+    E is exact: B log10 2 is never within rounding of an integer for these
+    binary exponents B, and each power of ten that E is compared with,
+    1e-4 to 1e16, is a double or (below 1) rounds up to one, so no double
+    lies between the power and its entry in ``_TENS``. The integer then has
+    17 digits: no double in the range rounds up to a power of ten.
+    """
+    n = x.size
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a[~fast] = 1.0
+    # E from the binary exponent B of a: floor(B log10 2) is E or E - 1.
+    binary = (a.view(np.int64) >> 52) - 1023
+    exponent = np.floor(binary * _LOG10_2).astype(np.int64)
+    exponent += a >= _TENS[exponent + 6]
+    count = _rounded_product(a, _POW10[16 - exponent])
+
+    lead, rest = np.divmod(count, 10**16)
+    halves = np.empty((n, 2), np.int64)
+    np.divmod(rest, 10**8, out=(halves[:, 0], halves[:, 1]))
+    words = _eight_digits(halves)
+    last = _highest_byte(words)
+    end = np.maximum(np.maximum(last[:, 1] + 10, last[:, 0] + 2), 1)  # 1 + the last nonzero digit
+    point_at = np.maximum(exponent + 1, 0)  # the digits before the point; 0 when E < 0
+
+    fields = np.empty((n, _FIELD // 8), np.int64)
+    fields[:, 0] = (x < 0) * ord("-") + _LEADING[(1 - exponent) * (exponent < 0)]
+    fields[:, 0] += (lead + ord("0")) << 56
+    fields[:, 1:3] = words + _ASCII_ZEROS
+    fields[:, 3] = 0
+    out = fields.view(np.uint8)
+    out *= np.take(_BEFORE_DIGIT, np.maximum(point_at, end), axis=0)  # the fraction's trailing zeros
+    stay = np.take(_BEFORE_DIGIT, point_at, axis=0)
+    moved = out * (np.uint8(1) - stay)
+    out *= stay
+    out.reshape(-1)[1:] += moved.reshape(-1)[:-1]  # the digits after the point, one byte on
+    point = ((exponent >= 0) & (end > point_at)) * ord(".")
+    out.reshape(-1)[np.arange(_FIRST_DIGIT, n * _FIELD, _FIELD) + point_at] = point
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = ["%.17g" % v for v in x[slow].tolist()]
+        out[slow] = np.array(texts, dtype=f"S{_FIELD}").view(np.uint8).reshape(-1, _FIELD)
+    return out
+
+
 def write_pattern_csv(pattern: Pattern, path: Path) -> None:
     """Pattern lattice as CSV: u,v,re,im,mag_db row-major over v then u.
 
@@ -277,29 +404,32 @@ def write_pattern_csv(pattern: Pattern, path: Path) -> None:
     where the ratio to the maximum underflows to 0. The file is written one v
     row at a time, so the writer's memory does not grow with the lattice.
 
-    Each row is one ``%`` format: a template with the u texts baked in,
-    joined around the row's v text, filled from a (n_u, 3) buffer of re, im
-    and mag_db. mag_db takes ``math.log10`` per element: ``np.log10`` differs
-    from it in the last bit on some rows, which would change the bytes. A
-    ratio of 0 (or NaN) becomes the smallest subnormal, whose level the floor
-    maps to -120 dB; ``20.0 *`` and the floor are the same IEEE operations in
-    numpy as on Python floats.
+    Every number is ``'%.17g' % x``, formatted by ``_g17_fields`` in numpy.
+    A row is a (n_u, 5, 33) byte buffer: five 32-byte fields (u, v, re, im,
+    mag_db), each followed by its comma or newline, with NUL bytes in the
+    gaps that one ``bytes.translate`` per row removes. The u fields are
+    formatted once. mag_db takes ``math.log10`` per element: ``np.log10``
+    differs from it in the last bit on some rows, which would change the
+    bytes. A ratio of 0 (or NaN) becomes the smallest subnormal, whose level
+    the floor maps to -120 dB; ``20.0 *`` and the floor are the same IEEE
+    operations in numpy as on Python floats.
     """
     mag = pattern.magnitude
     peak = float(mag.max())
-    u_texts = [f"{u:.17g}" for u in pattern.grid.u_samples.tolist()]
-    # Row template pieces: "u0," | ",%.17g,%.17g,%.17g\nu1," | ... | ",%.17g,%.17g,%.17g\n".
-    nodes = ",%.17g,%.17g,%.17g\n"
-    pieces = [f"{u_texts[0]},", *(f"{nodes}{u}," for u in u_texts[1:]), nodes]
-    row = np.empty((len(u_texts), 3))
-    with Path(path).open("w") as f:
-        f.write("u,v,re,im,mag_db\n")
-        for v, values, mags in zip(pattern.grid.v_samples.tolist(), pattern.values, mag):
-            row[:, 0] = values.real
-            row[:, 1] = values.imag
+    n_u = mag.shape[1]
+    v_texts = _g17_fields(pattern.grid.v_samples)
+    line = np.empty((n_u, 5, _FIELD + 1), np.uint8)
+    line[:, :, _FIELD] = np.frombuffer(b",,,,\n", np.uint8)
+    line[:, 0, :_FIELD] = _g17_fields(pattern.grid.u_samples)
+    with Path(path).open("wb") as f:
+        f.write(b"u,v,re,im,mag_db\n")
+        for v_text, values, mags in zip(v_texts, pattern.values, mag):
             ratios = np.fmax(mags / peak, _TINY) if peak > 0 else np.full(mags.size, _TINY)
-            row[:, 2] = np.maximum(20.0 * np.fromiter(map(math.log10, ratios.tolist()), float), DB_FLOOR)
-            f.write(f"{v:.17g}".join(pieces) % tuple(row.ravel().tolist()))
+            db = np.maximum(20.0 * np.fromiter(map(math.log10, ratios.tolist()), float), DB_FLOOR)
+            fields = _g17_fields(np.concatenate((values.real, values.imag, db)))
+            line[:, 1, :_FIELD] = v_text
+            line[:, 2:, :_FIELD] = fields.reshape(3, n_u, _FIELD).transpose(1, 0, 2)
+            f.write(line.tobytes().translate(None, b"\0"))
 
 
 def write_metrics_json(report: MetricsReport, path: Path) -> None:

@@ -119,13 +119,17 @@ def find_peak(pattern: Pattern, fov: Optional[FovRect] = None) -> Peak:
     if fov in pattern.peaks:
         return pattern.peaks[fov]
     visible = pattern.grid.visible(fov)
-    if not visible.any():
+    rows = np.flatnonzero(visible.any(axis=1))
+    if rows.size == 0:
         raise ValueError("FOV does not intersect the pattern grid")
-    mag = np.where(visible, pattern.magnitude, -1.0)
-    flat = int(np.argmax(mag))
-    iv, iu = np.unravel_index(flat, mag.shape)
+    # Copy only the rows that hold a visible node: on the full lattice a FOV
+    # spans half of them or fewer, and the copy counts in the peak RSS.
+    first, stop = int(rows[0]), int(rows[-1]) + 1
+    mag = np.where(visible[first:stop], pattern.magnitude[first:stop], -1.0)
+    iv, iu = np.unravel_index(int(np.argmax(mag)), mag.shape)
+    iv += first
     peak = Peak(
-        magnitude=float(mag[iv, iu]),
+        magnitude=float(pattern.magnitude[iv, iu]),
         u=float(pattern.grid.u_samples[iu]),
         v=float(pattern.grid.v_samples[iv]),
         iu=int(iu),
@@ -382,7 +386,7 @@ def evaluate_layout(
     coords = vrx.positions_wavelengths()
     m_size, n_size = (vrx.vrx_positions.max(0) - vrx.vrx_positions.min(0) + 1).tolist()
     reference = GridSpec(vrx.grid.d_y, vrx.grid.d_z, m_size, n_size)
-    t_ratio = thinning_ratio(layout, reference)
+    t_ratio = thinning_ratio(vrx, reference)
 
     d_min_y = min_axis_spacing(coords[:, 0])
     d_min_z = min_axis_spacing(coords[:, 1])

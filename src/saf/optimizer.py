@@ -471,9 +471,12 @@ def optimize(spec: DesignSpec) -> tuple[ArrayLayout, OptimizerTrace]:
         vrx = build_virtual_array(lay)
         snapshot = synthesize_snapshot(vrx, BROADSIDE)
         try:
-            return pslr(beamform(vrx, snapshot, band), fov)
-        except LobeLeavesBand:
-            return pslr(beamform(vrx, snapshot, eval_grid), fov)
+            try:
+                return pslr(beamform(vrx, snapshot, band), fov)
+            except LobeLeavesBand:
+                return pslr(beamform(vrx, snapshot, eval_grid), fov)
+        except ValueError as exc:  # a pattern PSLR cannot score, such as one VRX's flat pattern
+            raise InfeasibleSpecError(str(exc)) from exc
 
     best = layout
     best_pslr = score(layout)

@@ -173,9 +173,9 @@ def test_criterion_07_counts_and_thinning_ratios():
     assert vrx.generated_count == 192
     assert vrx.unique_count == 192
 
-    ratio_coarse = thinning_ratio(layout, GridSpec(0.5, 1.0, 121, 61))
+    ratio_coarse = thinning_ratio(vrx, GridSpec(0.5, 1.0, 121, 61))
     assert 100 * ratio_coarse == pytest.approx(2.6, abs=0.05)
-    ratio_fine = thinning_ratio(layout, GridSpec(0.5, 0.5, 156, 112))
+    ratio_fine = thinning_ratio(vrx, GridSpec(0.5, 0.5, 156, 112))
     assert 100 * ratio_fine == pytest.approx(1.09, abs=0.02)
     _report(
         7,

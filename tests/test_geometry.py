@@ -285,12 +285,12 @@ class TestThinningRatio:
             small_size(0.1, 0.1),
         )
         reference = GridSpec(0.5, 0.5, 5, 3)
-        assert thinning_ratio(layout, reference) == 1.0
+        assert thinning_ratio(build_virtual_array(layout), reference) == 1.0
 
     def test_reference_must_cover(self):
         layout = linear_layout(range(8), M=8)
         with pytest.raises(ValueError):
-            thinning_ratio(layout, GridSpec(0.5, 0.5, 2, 1))
+            thinning_ratio(build_virtual_array(layout), GridSpec(0.5, 0.5, 2, 1))
 
 
 class TestSpacingEcdf:

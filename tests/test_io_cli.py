@@ -33,6 +33,7 @@ from saf import (
 from saf.cli import build_parser, main
 from saf.io import (
     SchemaError,
+    _g17_fields,
     layout_from_dict,
     layout_to_dict,
     load_design_config,
@@ -126,6 +127,42 @@ def _csv_patterns(draw):
     return Pattern(UVGrid(u, v), values, build_virtual_array(ula_layout(2)))
 
 
+def _g17_texts(values) -> list[str]:
+    rows = _g17_fields(np.array(values, dtype=float))
+    return [row.tobytes().translate(None, b"\0").decode() for row in rows]
+
+
+# Powers of ten and their neighbours one ulp away, from 1e-6 to 1e17 (the fast
+# range is 1e-4 <= |x| < 1e16), -120 dB, and exact ties of the 17th digit:
+# half to even gives ...0.2, ...0.8 and ...0.12, half up would not.
+_G17_EDGES = [
+    *(y for k in range(-6, 18)
+      for y in (math.nextafter(10.0**k, 0.0), 10.0**k, math.nextafter(10.0**k, math.inf))),
+    -120.0,
+    1000000000000000.25,
+    1000000000000000.75,
+    100000000000000.125,
+    0.0,
+    5e-324,
+    2.2250738585072014e-308,
+    1.7976931348623157e308,
+    math.inf,
+    math.nan,
+]
+
+
+class TestG17Fields:
+    def test_edge_cases(self):
+        values = _G17_EDGES + [-x for x in _G17_EDGES]
+        assert _g17_texts(values) == ["%.17g" % x for x in values]
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=arrays(float, st.integers(1, 64), elements=st.floats() | st.floats(-1e17, 1e17)))
+    def test_same_text_as_percent_format(self, values):
+        # st.floats() draws from the whole range: nan, inf, subnormals and -0.0 too.
+        assert _g17_texts(values) == ["%.17g" % x for x in values.tolist()]
+
+
 class TestPatternCsv:
     def test_format_and_exact_values(self, tmp_path):
         vrx = build_virtual_array(ula_layout(4))
@@ -199,6 +236,18 @@ class TestPatternCsv:
         write_pattern_csv(pattern, tmp_path / "template.csv")
         reference_pattern_csv(pattern, tmp_path / "reference.csv")
         assert (tmp_path / "template.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("targets", [
+        None,
+        [Target(0.0, 0.0), Target(0.3, -0.2, 0.5 - 0.25j), Target(-0.6, 0.1, 1e-4)],
+    ], ids=["broadside", "three-targets"])
+    def test_same_bytes_as_the_reference_writer_at_full_size(self, tmp_path, targets):
+        # The README's 12x16 grid at q=4: every row of the 284x516 lattice.
+        pattern, _ = evaluate_layout(_layout_12x16(0), q_phi=4, q_theta=4, targets=targets)
+        assert pattern.values.shape == (284, 516)
+        write_pattern_csv(pattern, tmp_path / "written.csv")
+        reference_pattern_csv(pattern, tmp_path / "reference.csv")
+        assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_memory_does_not_grow_with_the_lattice(self, tmp_path):
         # The README's 12x16 layout at q=4: a 284x516 lattice and a 15 MB file.

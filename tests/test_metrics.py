@@ -34,6 +34,7 @@ from saf import (
     ufov,
     virtual_coverage_area,
 )
+from saf import geometry, metrics
 from saf.beamforming import BROADSIDE, UVBand, UVGrid
 from saf.metrics import _LOBE_WINDOW, LobeLeavesBand, check_lobe_sampling, fov_band, scoring_grid
 from conftest import (
@@ -547,6 +548,19 @@ class TestEvaluateLayout:
         monkeypatch.setattr(np, "argmax", counted)
         pattern, _ = evaluate_layout(ula_layout(16), q_phi=16)
         assert searches == [pattern.values.shape]
+
+    def test_the_virtual_array_is_built_once(self, monkeypatch):
+        built = []
+        build = geometry.build_virtual_array
+
+        def counted(layout):
+            built.append(layout)
+            return build(layout)
+
+        monkeypatch.setattr(geometry, "build_virtual_array", counted)
+        monkeypatch.setattr(metrics, "build_virtual_array", counted)
+        evaluate_layout(ula_layout(8), 4, 4)
+        assert len(built) == 1
 
     def test_single_column_is_a_line_along_z(self):
         # One TX under a column of 6 RX: the virtual aperture equals the physical one.

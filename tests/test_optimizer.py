@@ -435,6 +435,15 @@ class TestOuterLoop:
         with pytest.raises(ValueError):
             outer_loop(linear_spec(), [])
 
+    def test_degenerate_point_skipped(self):
+        # One TX and one RX make one VRX, whose pattern is flat: PSLR cannot score it.
+        spec = linear_spec(n_tx=1, n_rx=4, q_phi=4, k_max=5)
+        with pytest.raises(InfeasibleSpecError, match="degenerate pattern"):
+            optimize(dataclasses.replace(spec, n_rx=1))
+        sub, layout, trace = outer_loop(spec, [{"n_rx": 1}, {"n_rx": 4}])
+        assert sub.n_rx == 4
+        assert (layout, trace) == optimize(dataclasses.replace(spec, seed=spec.seed ^ 1))
+
     def test_all_points_infeasible(self):
         with pytest.raises(InfeasibleSpecError):
             outer_loop(linear_spec(), [{"n_tx": 80}, {"n_rx": 90}])
