@@ -36,6 +36,10 @@ class _PhasorTable:
     VRX use, not with the grid, and is rarely copied. A row is the same float
     product (k d) s and the same ``exp`` as a per-call evaluation over VRX
     coordinates k d, so a gathered row has the same bits.
+
+    The slot array has one entry per index of the virtual grid's axis;
+    ``metrics.check_lobe_sampling`` bounds the scoring lattice, and with it
+    that axis, before a table is built.
     """
 
     def __init__(self, samples: np.ndarray, d: float, count: int):
@@ -68,8 +72,9 @@ class UVGrid:
     entries and ``v_samples`` N * q_theta, both covering [-1, 1). ``cut`` grids (the single row v = 0) relax the v formula
     so linear arrays can be scored on their broadside azimuth cut.
 
-    A grid keeps what every pattern on it shares: phasor tables per virtual
-    grid and visibility masks per FOV, each built on first use.
+    A grid keeps the visibility masks per FOV, each built on first use. Its
+    phasor tables belong to the caller that beamforms many arrays on it (see
+    ``phasor_tables``), so a pattern does not keep them alive.
     """
 
     u_samples: np.ndarray
@@ -80,19 +85,8 @@ class UVGrid:
         return (self.v_samples.size, self.u_samples.size)
 
     @functools.cached_property
-    def _phasor_tables(self) -> dict[GridSpec, tuple[_PhasorTable, _PhasorTable]]:
-        return {}
-
-    @functools.cached_property
     def _visible_masks(self) -> dict[Optional[FovRect], np.ndarray]:
         return {}
-
-    def phasors(self, virtual: GridSpec) -> tuple[_PhasorTable, _PhasorTable]:
-        """u and v phasor tables for VRX on the ``virtual`` grid."""
-        if virtual not in self._phasor_tables:
-            self._phasor_tables[virtual] = (_PhasorTable(self.u_samples, virtual.d_y, virtual.M),
-                                            _PhasorTable(self.v_samples, virtual.d_z, virtual.N))
-        return self._phasor_tables[virtual]
 
     def visible(self, fov: Optional[FovRect]) -> np.ndarray:
         """Read-only mask of the nodes in the real-angle disk and, unless None, the FOV rectangle."""
@@ -228,7 +222,18 @@ def _row_sums(snapshot: np.ndarray, u_rows: np.ndarray, starts: np.ndarray) -> n
     return out
 
 
-def beamform(vrx: VirtualArray, snapshot: np.ndarray, grid: UVGrid) -> Pattern:
+def phasor_tables(grid: UVGrid, virtual: GridSpec) -> tuple[_PhasorTable, _PhasorTable]:
+    """Empty u and v phasor tables of ``grid`` for VRX on the ``virtual`` grid."""
+    return (_PhasorTable(grid.u_samples, virtual.d_y, virtual.M),
+            _PhasorTable(grid.v_samples, virtual.d_z, virtual.N))
+
+
+def beamform(
+    vrx: VirtualArray,
+    snapshot: np.ndarray,
+    grid: UVGrid,
+    tables: Optional[tuple[_PhasorTable, _PhasorTable]] = None,
+) -> Pattern:
     """Beamform a snapshot over a sine-space grid.
 
     Evaluates value(u, v) = sum_p snapshot[p] e^{-j 2 pi (y_p u + z_p v)} using
@@ -237,13 +242,17 @@ def beamform(vrx: VirtualArray, snapshot: np.ndarray, grid: UVGrid) -> Pattern:
     phasor rows give the row's sum over u (one vector-matrix product per row).
     The v phasor rows of the R distinct rows then combine with those R sums in
     one (n_v, R) x (R, n_u) complex matrix product.
+
+    ``tables``, from ``phasor_tables(grid, vrx.grid)``, keep the phasor rows
+    for the next array a caller beamforms on the same grid. Without them the
+    call builds the rows it needs and keeps none; the bits are the same.
     """
     snapshot = np.asarray(snapshot, dtype=complex)
     if snapshot.size != vrx.unique_count:
         raise ValueError(
             f"snapshot length {snapshot.size} does not match VRX count {vrx.unique_count}"
         )
-    u_table, v_table = grid.phasors(vrx.grid)
+    u_table, v_table = phasor_tables(grid, vrx.grid) if tables is None else tables
     m, n = vrx.vrx_positions.T
     starts = np.flatnonzero(np.diff(n, prepend=-1))
     values = v_table.gather(n[starts]).T @ _row_sums(snapshot, u_table.gather(m), starts)

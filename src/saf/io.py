@@ -8,7 +8,6 @@ reader mutates its input file.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import typing
@@ -266,6 +265,8 @@ def load_design_config(path: Path) -> tuple[DesignSpec, Optional[list[dict]], di
 
 def spec_hash(raw_config: dict) -> str:
     """Stable digest of a canonicalized (sorted keys, compact) config object."""
+    import hashlib  # here, not at the top: it loads OpenSSL, about 3.5 MB that only a digest needs
+
     canonical = json.dumps(raw_config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 

@@ -43,6 +43,11 @@ log = logging.getLogger(__name__)
 
 _EPS = 1e-12
 
+# Most nodes a scoring lattice may hold: 2^24, 29 times README's q = 8 lattice
+# (1032 x 568). At that size one complex pattern is 256 MiB, and the lattice,
+# not the array, would set the memory a score needs.
+MAX_LATTICE_NODES = 2 ** 24
+
 # Half-width, in nodes, of the first window the main-lobe fill runs in. The
 # main lobes of the README 12x16 design fit it on most candidates at q = 4 and
 # need one doubling at q = 8.
@@ -97,17 +102,24 @@ def fov_band(lattice: UVGrid, fov: FovRect) -> UVGrid:
 
 
 def check_lobe_sampling(grid: GridSpec, q_phi: int, q_theta: int) -> None:
-    """Raise ValueError unless ``scoring_grid`` samples the main lobe at least twice per sampled axis.
+    """Raise ValueError unless ``scoring_grid`` can score layouts on ``grid``.
 
     The lattice takes about q / d samples across the null-to-null main-lobe
     width, so each axis needs ``d <= q / 2``; a linear array's v = 0 cut
     samples u only. A coarser PSLR would be aliased, and the rule also bounds
     the grating-lobe lists, about 2 d angles per axis, by the lattice size.
+    The lattice may hold at most ``MAX_LATTICE_NODES`` nodes; the check
+    allocates nothing, so it runs before the lattice is built.
     """
     for name, d, q, q_name in (("y", grid.d_y, q_phi, "q_phi"), ("z", grid.d_z, q_theta, "q_theta")):
         if d > q / 2.0 and (name == "y" or grid.N > 1):
             raise ValueError(f"grid spacing d_{name} = {d:g} wavelengths exceeds {q_name} / 2 = {q / 2.0:g}: "
                              f"the scoring lattice samples the main lobe fewer than twice")
+    n_u = (2 * grid.M - 1) * q_phi
+    n_v = 1 if grid.N == 1 else (2 * grid.N - 1) * q_theta
+    if n_u * n_v > MAX_LATTICE_NODES:
+        raise ValueError(f"the scoring lattice of a {grid.M} x {grid.N} grid at q_phi = {q_phi}, "
+                         f"q_theta = {q_theta} has {n_v} x {n_u} nodes, more than {MAX_LATTICE_NODES}")
 
 
 def find_peak(pattern: Pattern, fov: Optional[FovRect] = None) -> Peak:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .beamforming import BROADSIDE, beamform, synthesize_snapshot
+from .beamforming import BROADSIDE, Pattern, UVGrid, beamform, phasor_tables, synthesize_snapshot
 from .geometry import (
     ArrayLayout,
     Coord,
@@ -26,6 +26,7 @@ from .geometry import (
     ForbiddenZone,
     GridSpec,
     LayoutError,
+    VirtualArray,
     build_virtual_array,
     check_forbidden_zones,
     check_overlap,
@@ -457,14 +458,22 @@ def optimize(spec: DesignSpec) -> tuple[ArrayLayout, OptimizerTrace]:
     """
     grid, _virtual = derive_grid(spec)
     rng = np.random.default_rng(spec.seed)
-    eval_grid = scoring_grid(grid, spec.q_phi, spec.q_theta)
-    fov = scoring_fov(grid)
     try:
         check_lobe_sampling(grid, spec.q_phi, spec.q_theta)
     except ValueError as exc:
         raise InfeasibleSpecError(str(exc)) from exc
+    eval_grid = scoring_grid(grid, spec.q_phi, spec.q_theta)
+    fov = scoring_fov(grid)
     band = fov_band(eval_grid, fov)
     layout = _initial_layout(spec, grid)
+    # Phasor tables per lattice (by id: the band, or the lattice itself), built
+    # on first use and shared by every candidate, whose VRX lie on one virtual grid.
+    tables: dict[int, tuple] = {}
+
+    def pattern_on(lattice: UVGrid, vrx: VirtualArray, snapshot: np.ndarray) -> Pattern:
+        if id(lattice) not in tables:
+            tables[id(lattice)] = phasor_tables(lattice, vrx.grid)
+        return beamform(vrx, snapshot, lattice, tables[id(lattice)])
 
     def score(lay: ArrayLayout) -> float:
         # Every FOV node lies in the band; a lobe that may leave it is scored on the lattice.
@@ -472,9 +481,9 @@ def optimize(spec: DesignSpec) -> tuple[ArrayLayout, OptimizerTrace]:
         snapshot = synthesize_snapshot(vrx, BROADSIDE)
         try:
             try:
-                return pslr(beamform(vrx, snapshot, band), fov)
+                return pslr(pattern_on(band, vrx, snapshot), fov)
             except LobeLeavesBand:
-                return pslr(beamform(vrx, snapshot, eval_grid), fov)
+                return pslr(pattern_on(eval_grid, vrx, snapshot), fov)
         except ValueError as exc:  # a pattern PSLR cannot score, such as one VRX's flat pattern
             raise InfeasibleSpecError(str(exc)) from exc
 

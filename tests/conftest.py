@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from saf import ArrayLayout, ElementSize, GridSpec
+from saf import ArrayLayout, ElementSize, GridSpec, check_overlap
 from saf.beamforming import _row_sums
 
 # `--hypothesis-profile=ci` replays the same examples on every run; local runs stay random.
@@ -41,6 +41,19 @@ def ula_layout(n: int, d_y: float = 0.5, element: float = 0.4):
     return linear_layout(range(n), d_y=d_y, element=element)
 
 
+def layout_12x16(seed: int) -> ArrayLayout:
+    """12 TX and 16 RX of 2 x 5 wavelengths at random, non-overlapping nodes of the README's grid."""
+    rng = np.random.default_rng(seed)
+    grid, size = GridSpec(0.5, 1.0, 65, 36), ElementSize(2.0, 5.0)
+    tx, rx = [], []
+    for placed, want in ((tx, 12), (rx, 16)):
+        while len(placed) < want:
+            placed.append((int(rng.integers(grid.M)), int(rng.integers(grid.N))))
+            if check_overlap(ArrayLayout(grid, tx, rx, size, size)):
+                placed.pop()
+    return ArrayLayout(grid, tx, rx, size, size)
+
+
 def direct_pattern(coords_wl, snapshot, u_samples, v_samples):
     """Brute-force double-loop pattern: per-node direct summation oracle."""
     coords_wl = np.asarray(coords_wl, dtype=float)
@@ -57,7 +70,7 @@ def per_call_pattern(vrx, snapshot, grid):
     """Separable beamforming with every phasor evaluated on the call: a bit-for-bit oracle.
 
     The same float products, VRX row sums and matrix product as ``beamform``,
-    without its per-grid phasor tables.
+    without its phasor tables.
     """
     coords = vrx.positions_wavelengths()
     starts = np.flatnonzero(np.diff(coords[:, 1], prepend=-np.inf))

@@ -17,6 +17,7 @@ from saf import (
     synthesize_snapshot,
     uv_to_angles,
 )
+from saf.beamforming import phasor_tables
 from conftest import (dirichlet_magnitude, direct_pattern, linear_layout, per_call_pattern, small_size,
                       ula_layout)
 
@@ -203,6 +204,7 @@ class TestBeamform:
         # One grid serves layouts whose VRX cover different rows and columns, so
         # its phasor tables grow between calls; every pattern keeps the bits.
         grid = make_uv_grid(19, 19, 4, 2)
+        tables = phasor_tables(grid, GridSpec(0.7, 1.3, 19, 19))  # every layout's virtual grid
         for _ in range(6):
             cells = rng.choice(10 * 10, size=7, replace=False)
             tx = [(int(c % 10), int(c // 10)) for c in cells[:2]]
@@ -214,6 +216,7 @@ class TestBeamform:
             expected = per_call_pattern(vrx, snap, grid)
             assert np.array_equal(beamform(vrx, snap, grid).values, expected)
             assert np.array_equal(beamform(vrx, snap, make_uv_grid(19, 19, 4, 2)).values, expected)
+            assert np.array_equal(beamform(vrx, snap, grid, tables).values, expected)
 
     def test_linearity(self, rng):
         vrx = build_virtual_array(ula_layout(12))

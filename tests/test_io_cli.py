@@ -24,7 +24,6 @@ from saf import (
     UVGrid,
     beamform,
     build_virtual_array,
-    check_overlap,
     evaluate_layout,
     make_uv_cut,
     make_uv_grid,
@@ -46,7 +45,7 @@ from saf.io import (
     write_pattern_csv,
 )
 from saf.optimizer import DesignSpec, optimize
-from conftest import linear_layout, reference_pattern_csv, ula_layout
+from conftest import layout_12x16, linear_layout, reference_pattern_csv, ula_layout
 
 
 def design_config(**overrides):
@@ -243,7 +242,7 @@ class TestPatternCsv:
     ], ids=["broadside", "three-targets"])
     def test_same_bytes_as_the_reference_writer_at_full_size(self, tmp_path, targets):
         # The README's 12x16 grid at q=4: every row of the 284x516 lattice.
-        pattern, _ = evaluate_layout(_layout_12x16(0), q_phi=4, q_theta=4, targets=targets)
+        pattern, _ = evaluate_layout(layout_12x16(0), q_phi=4, q_theta=4, targets=targets)
         assert pattern.values.shape == (284, 516)
         write_pattern_csv(pattern, tmp_path / "written.csv")
         reference_pattern_csv(pattern, tmp_path / "reference.csv")
@@ -583,6 +582,58 @@ def test_exit_code_contract(argv, code, field, tmp_path, monkeypatch, capsys):
     assert _contents(tmp_path / "o") == before
 
 
+# A child limited to 1 GiB of address space, ample for numpy: a lattice allocated
+# before the check fails at once instead of filling the host.
+_UNDER_1_GIB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+from saf.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    # Two TX and two RX on a 2^33-node line: its lattice at q=1 would take 128 GiB.
+    pytest.param(lambda t: _evaluate(t, {**layout_to_dict(linear_layout([1, 3], tx_nodes=[0, 5])),
+                                         "grid": {"d_y": 0.5, "d_z": 0.5, "M": 2 ** 33, "N": 1}})
+                 + ["--grid-oversample", "1"], id="evaluate"),
+    pytest.param(lambda t: _design(t, target_hpbw_az=math.degrees(0.886 / 2 ** 33)), id="design"),
+])
+def test_lattice_too_large_to_allocate_exits_2(argv, tmp_path):
+    pytest.importorskip("resource")
+    result = subprocess.run([sys.executable, "-c", _UNDER_1_GIB, *argv(tmp_path)],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: the scoring lattice") and result.stderr.count("\n") == 1
+
+
+def _loads_hashlib(statements: str) -> bool:
+    """Whether a new interpreter has imported ``hashlib`` after running ``statements``."""
+    result = subprocess.run([sys.executable, "-c", f"import sys\n{statements}\nprint('hashlib' in sys.modules)"],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("argv", [
+    lambda t: _evaluate(t, layout_to_dict(ula_layout(8))),
+    lambda t: _report(t, _META, _ITERATION, _SUMMARY),
+    lambda t: ["--version"],
+], ids=["evaluate", "report", "version"])
+def test_openssl_is_loaded_only_to_take_a_digest(argv, tmp_path):
+    # hashlib loads OpenSSL, about 3.5 MB of RSS; of all commands, only design's manifest takes a digest.
+    if _loads_hashlib("import numpy"):
+        pytest.skip("importing numpy loads hashlib")
+    assert not _loads_hashlib(f"""
+from saf.cli import main
+try:
+    code = main({argv(tmp_path)!r})
+except SystemExit as exited:
+    code = exited.code
+assert code == 0, code
+""")
+
+
 @pytest.mark.parametrize(
     "point, message",
     [({"bogus": 1}, "cannot set 'bogus'"), ({"k_max": 0}, "k_max must be >= 1"),
@@ -627,19 +678,6 @@ def test_spec_hash_covers_the_command_line_overrides(tmp_path):
     assert manifest["spec_hash"] == expected
 
 
-def _layout_12x16(seed: int) -> ArrayLayout:
-    """12 TX and 16 RX of 2 x 5 wavelengths at random, non-overlapping nodes of the README's grid."""
-    rng = np.random.default_rng(seed)
-    grid, size = GridSpec(0.5, 1.0, 65, 36), ElementSize(2.0, 5.0)
-    tx, rx = [], []
-    for placed, want in ((tx, 12), (rx, 16)):
-        while len(placed) < want:
-            placed.append((int(rng.integers(grid.M)), int(rng.integers(grid.N))))
-            if check_overlap(ArrayLayout(grid, tx, rx, size, size)):
-                placed.pop()
-    return ArrayLayout(grid, tx, rx, size, size)
-
-
 class TestSubprocessEntryPoint:
     def test_module_invocation(self, tmp_path):
         config = tmp_path / "design.json"
@@ -664,7 +702,7 @@ class TestSubprocessEntryPoint:
     def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # Left unset, OPENBLAS_NUM_THREADS is set to 1 by saf itself. A second
         # OpenBLAS thread changes the last bits of the beamformer's matrix product.
-        save_layout(_layout_12x16(0), tmp_path / "layout.json")
+        save_layout(layout_12x16(0), tmp_path / "layout.json")
         unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         written = []
         for env in (unset, {**unset, "OPENBLAS_NUM_THREADS": "1"}):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,11 +37,13 @@ from saf import (
 )
 from saf import geometry, metrics
 from saf.beamforming import BROADSIDE, UVBand, UVGrid
-from saf.metrics import _LOBE_WINDOW, LobeLeavesBand, check_lobe_sampling, fov_band, scoring_grid
+from saf.metrics import (_LOBE_WINDOW, MAX_LATTICE_NODES, LobeLeavesBand, check_lobe_sampling, fov_band,
+                         scoring_grid)
 from conftest import (
     direct_pattern,
     dirichlet_magnitude,
     escaping_lobe,
+    layout_12x16,
     reference_main_lobe,
     reference_pslr,
     ula_layout,
@@ -465,6 +468,15 @@ class TestLobeSampling:
         with pytest.raises(ValueError, match=message):
             check_lobe_sampling(GridSpec(d_y, d_z, 4, 4), q_phi, q_theta)
 
+    @pytest.mark.parametrize("M, N, q_phi, q_theta", [
+        (1, 1, MAX_LATTICE_NODES + 1, 1), (2 ** 33, 1, 1, 1), (2 ** 11, 2 ** 11, 2, 2),
+    ], ids=["cut-one-node-over", "cut-of-a-2^33-node-line", "planar"])
+    def test_refuses_a_lattice_too_large_to_allocate(self, M, N, q_phi, q_theta):
+        # Checked from the grid alone: the lattice of the 2^33 line would take 128 GiB.
+        with pytest.raises(ValueError, match=f"nodes, more than {MAX_LATTICE_NODES}"):
+            check_lobe_sampling(GridSpec(0.5, 0.5, M, N), q_phi, q_theta)
+        check_lobe_sampling(GridSpec(0.5, 0.5, 1, 1), MAX_LATTICE_NODES, 1)
+
     def test_refuses_every_fov_too_narrow_for_a_pslr(self):
         # A FOV holding one lattice sample along u, or in 2D along v, has no PSLR.
         # With two or more nodes along u, such a grid has a spacing above q / 2,
@@ -561,6 +573,22 @@ class TestEvaluateLayout:
         monkeypatch.setattr(metrics, "build_virtual_array", counted)
         evaluate_layout(ula_layout(8), 4, 4)
         assert len(built) == 1
+
+    def test_a_one_off_score_keeps_no_phasor_table(self):
+        # The README's 12x16 layout at q=4, a 284x516 lattice. After the call, the
+        # pattern's values (2.34 MB), its magnitude (1.17 MB) and the FOV mask are
+        # held; the call's phasor tables (1.39 MB) are not. A small call first
+        # imports what the first call of a process imports.
+        layout = layout_12x16(0)
+        evaluate_layout(ula_layout(8), q_phi=4, q_theta=4)
+        tracemalloc.start()
+        try:
+            pattern, _ = evaluate_layout(layout, q_phi=4, q_theta=4)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pattern.values.shape == (284, 516)
+        assert held < 4.2e6
 
     def test_single_column_is_a_line_along_z(self):
         # One TX under a column of 6 RX: the virtual aperture equals the physical one.

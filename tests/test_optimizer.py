@@ -29,6 +29,7 @@ from saf import (
     spacing_ecdf,
     synthesize_snapshot,
 )
+from saf import beamforming
 from saf.beamforming import UVBand, UVGrid
 from conftest import escaping_lobe, reference_pslr
 
@@ -374,6 +375,25 @@ class TestOptimize:
             assert np.array_equal(full.values[rows], pattern.values)
             assert value == pslr(full, fov)
 
+    def test_one_phasor_table_per_axis_and_lattice(self, monkeypatch):
+        # The search's tables outlive each score: a table built per score would keep the bits too.
+        tables, lattices = [], set()
+        init, real_beamform = beamforming._PhasorTable.__init__, beamform
+
+        def counted_table(table, *args):
+            tables.append(table)
+            init(table, *args)
+
+        def served(vrx, snapshot, grid, *args):
+            lattices.add(id(grid))
+            return real_beamform(vrx, snapshot, grid, *args)
+
+        monkeypatch.setattr(beamforming._PhasorTable, "__init__", counted_table)
+        monkeypatch.setattr("saf.optimizer.beamform", served)
+        _, trace = optimize(planar_spec(k_max=40, seed=3))
+        assert len(trace.records) == 40
+        assert len(tables) == 2 * len(lattices)
+
     @pytest.mark.parametrize("edge", [0, -1], ids=["first-row", "last-row"])
     def test_lobe_leaving_the_band_is_scored_on_the_lattice(self, edge, monkeypatch):
         spec = planar_spec(k_max=1)
@@ -384,7 +404,7 @@ class TestOptimize:
         mag = escaping_lobe(*lattice.shape, band_rows[edge], 1 if edge else -1)
         served = []
 
-        def constructed(vrx, snapshot, uv):
+        def constructed(vrx, snapshot, uv, _tables):
             served.append(type(uv))
             rows = np.searchsorted(lattice.v_samples, uv.v_samples)
             return Pattern(uv, mag[rows].astype(complex), vrx)
