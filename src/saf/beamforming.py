@@ -31,11 +31,12 @@ FovRect = tuple[float, float, float, float]
 class _PhasorTable:
     """Phasors exp(-2 pi j k d s) over one axis's samples s, one row per grid index k.
 
-    Each row is built on first use and stored in a buffer that doubles when
-    full, up to one row per index, so the table grows with the indices its
-    VRX use, not with the grid, and is rarely copied. A row is the same float
-    product (k d) s and the same ``exp`` as a per-call evaluation over VRX
-    coordinates k d, so a gathered row has the same bits.
+    Each row is built on first use. The first fill sizes the row buffer to
+    the rows it needs, so a one-off beamform allocates no spare rows; a full
+    buffer then doubles, up to one row per index. So the table grows with the
+    indices its VRX use, not with the grid, and is rarely copied. A row is
+    the same float product (k d) s and the same ``exp`` as a per-call
+    evaluation over VRX coordinates k d, so a gathered row has the same bits.
 
     The slot array has one entry per index of the virtual grid's axis;
     ``metrics.check_lobe_sampling`` bounds the scoring lattice, and with it
@@ -51,11 +52,17 @@ class _PhasorTable:
 
     def gather(self, k: np.ndarray) -> np.ndarray:
         """Rows for the grid indices ``k``, in order, as a new (k.size, samples) array."""
-        new = np.unique(k[self._slot[k] < 0])
-        if new.size:
+        absent = k[self._slot[k] < 0]
+        if absent.size:
+            # The distinct absent indices, sorted. Not np.unique: numpy 2.4 imports
+            # numpy.ma on its first call, 14-24 ms and 1.27 MB in every process.
+            mark = np.zeros(self._slot.size, dtype=bool)
+            mark[absent] = True
+            new = np.flatnonzero(mark)
             used = self._used + new.size
             if used > len(self._rows):
-                grown = np.empty((min(self._slot.size, 2 * used), self._samples.size), dtype=complex)
+                rows = min(self._slot.size, max(used, 2 * self._used))
+                grown = np.empty((rows, self._samples.size), dtype=complex)
                 grown[:self._used] = self._rows[:self._used]
                 self._rows = grown
             self._rows[self._used:used] = np.exp(-2j * np.pi * np.outer(new * self._d, self._samples))
@@ -64,7 +71,7 @@ class _PhasorTable:
         return self._rows[self._slot[k]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UVGrid:
     """Uniform sine-space sample lattice.
 
@@ -74,7 +81,8 @@ class UVGrid:
 
     A grid keeps the visibility masks per FOV, each built on first use. Its
     phasor tables belong to the caller that beamforms many arrays on it (see
-    ``phasor_tables``), so a pattern does not keep them alive.
+    ``phasor_tables``), so a pattern does not keep them alive. Grids compare
+    and hash by identity, since ``==`` on an array field gives no single bool.
     """
 
     u_samples: np.ndarray
@@ -103,7 +111,7 @@ class UVGrid:
         return self._visible_masks[fov]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UVBand(UVGrid):
     """Consecutive rows of a larger lattice.
 
@@ -172,9 +180,9 @@ class Target:
 BROADSIDE = (Target(0.0, 0.0, 1.0 + 0.0j),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pattern:
-    """Received-signal pattern over a UVGrid; values indexed [v, u]."""
+    """Received-signal pattern over a UVGrid; values indexed [v, u]. Compares by identity."""
 
     grid: UVGrid
     values: np.ndarray

@@ -24,7 +24,7 @@ from .beamforming import Target
 from .io import (
     load_design_config,
     load_layout,
-    read_trace_summary,
+    read_trace,
     save_layout,
     spec_hash,
     write_manifest,
@@ -89,14 +89,14 @@ def _parse_target(text: str) -> Target:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _threads(text: str) -> int:
+def _at_least_one(text: str) -> int:
     try:
-        threads = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if threads < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
-    return threads
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,15 +112,15 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--seed", type=int, default=None, help="override the config seed")
     # The CPUs this process may run on, which under taskset can be fewer than the host's.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    design.add_argument("--threads", type=_threads, default=cpus)
+    design.add_argument("--threads", type=_at_least_one, default=cpus)
     design.add_argument(
-        "--grid-oversample", type=int, default=None, help="override q_phi and q_theta"
+        "--grid-oversample", type=_at_least_one, default=None, help="override q_phi and q_theta"
     )
 
     evaluate = sub.add_parser("evaluate", help="beamform a layout file and score it")
     evaluate.add_argument("--layout", required=True, type=Path, help="layout JSON")
     evaluate.add_argument("--out", required=True, type=Path, help="output directory")
-    evaluate.add_argument("--grid-oversample", type=int, default=8)
+    evaluate.add_argument("--grid-oversample", type=_at_least_one, default=8)
     evaluate.add_argument(
         "--target",
         action="append",
@@ -184,12 +184,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    summary = read_trace_summary(args.trace)
-    print(f"iterations: {summary.iterations}")
-    print(f"termination: {summary.termination}")
-    print(f"initial PSLR: {summary.initial_pslr_db:.3f} dB")
-    print(f"final PSLR: {summary.final_pslr_db:.3f} dB")
-    print(f"improvements: {summary.improvements}")
+    trace = read_trace(args.trace)
+    print(f"iterations: {len(trace.records)}")
+    print(f"termination: {trace.termination}")
+    print(f"initial PSLR: {trace.initial_pslr_db:.3f} dB")
+    print(f"final PSLR: {trace.final_pslr_db:.3f} dB")
+    print(f"improvements: {trace.improvements}")
     return EXIT_OK
 
 

@@ -11,7 +11,6 @@ import dataclasses
 import json
 import math
 import typing
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -20,7 +19,7 @@ import numpy as np
 from .beamforming import Pattern
 from .geometry import BOTH_EXCLUDED, ArrayLayout, Coord, ElementSize, ForbiddenZone, GridSpec
 from .metrics import MetricsReport
-from .optimizer import TERMINATIONS, DesignSpec, OptimizerTrace
+from .optimizer import TERMINATIONS, DesignSpec, IterationRecord, OptimizerTrace
 
 DB_FLOOR = -120.0
 _TINY = 5e-324  # smallest positive double: 20 log10 of it is far below DB_FLOOR
@@ -437,39 +436,36 @@ def write_metrics_json(report: MetricsReport, path: Path) -> None:
     Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
 
 
-def write_trace_jsonl(trace: OptimizerTrace, path: Path, seed: int, k_max: int) -> None:
-    """Trace as JSON lines: a meta line, one line per iteration, and a summary line."""
-    meta = {"type": "meta", "seed": seed, "k_max": k_max, "initial_pslr_db": trace.initial_pslr_db}
-    iterations = [{"type": "iteration", **dataclasses.asdict(r)} for r in trace.records]
-    summary = {
+def _summary(trace: OptimizerTrace) -> dict:
+    """The summary line of ``trace``: what the writer writes and the reader expects."""
+    return {
         "type": "summary",
         "termination": trace.termination,
         "final_pslr_db": trace.final_pslr_db,
         "improvements": trace.improvements,
         "iterations": len(trace.records),
     }
-    lines = [json.dumps(line) for line in [meta, *iterations, summary]]
+
+
+def write_trace_jsonl(trace: OptimizerTrace, path: Path, seed: int, k_max: int) -> None:
+    """Trace as JSON lines: a meta line, one line per iteration, and a summary line."""
+    meta = {"type": "meta", "seed": seed, "k_max": k_max, "initial_pslr_db": trace.initial_pslr_db}
+    iterations = [{"type": "iteration", **dataclasses.asdict(r)} for r in trace.records]
+    lines = [json.dumps(line) for line in [meta, *iterations, _summary(trace)]]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class TraceSummary:
-    """Validated digest of a trace file, as shown by the report command."""
+def read_trace(path: Path) -> OptimizerTrace:
+    """Parse a trace JSONL file and check it is one the search can write.
 
-    iterations: int
-    termination: str
-    initial_pslr_db: float
-    final_pslr_db: float
-    improvements: int
-
-
-def read_trace_summary(path: Path) -> TraceSummary:
-    """Parse and validate a trace JSONL file.
-
-    Checks the meta/iterations/summary structure, the 1..n iteration indexing,
-    the nondecreasing best-PSLR sequence, and the summary counters.
+    Checks the meta/iterations/summary structure and the 1..n iteration
+    indexing. From the meta line's initial PSLR on, every iteration line must
+    be ``IterationRecord.scored`` of its candidate PSLR and the best before
+    it: a candidate is accepted only on a strict PSLR increase, and then its
+    PSLR becomes the best. The summary must equal the one the writer makes of
+    these records, exactly: JSON numbers read back as the floats written.
     """
-    records = []
+    lines = []
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
@@ -479,43 +475,41 @@ def read_trace_summary(path: Path) -> TraceSummary:
             raise SchemaError(f"{path}: line {ln}: {exc.msg}") from exc
         if not isinstance(record, dict):
             raise SchemaError(f"{path}: line {ln}: expected an object, got {type(record).__name__}")
-        records.append(record)
-    if len(records) < 2 or records[0].get("type") != "meta" or records[-1].get("type") != "summary":
+        lines.append(record)
+    if len(lines) < 2 or lines[0].get("type") != "meta" or lines[-1].get("type") != "summary":
         raise SchemaError(f"{path}: truncated trace (missing meta or summary line)")
-    meta, summary = records[0], records[-1]
-    iterations = records[1:-1]
-    best_prev = -math.inf
-    improvements = 0
-    for i, rec in enumerate(iterations, start=1):
+    meta, summary = lines[0], lines[-1]
+    initial = best = _number(meta, "initial_pslr_db", f"{path}: meta")
+    records = []
+    for i, rec in enumerate(lines[1:-1], start=1):
         context = f"{path}: iteration {i}"
         if rec.get("type") != "iteration" or _integer(rec, "k", context) != i:
             raise SchemaError(f"{path}: iteration line {i} is out of sequence")
-        best = _number(rec, "best_pslr_db", context)
-        if best < best_prev - 1e-12:
+        record = IterationRecord(
+            i, _number(rec, "candidate_pslr_db", context), _number(rec, "best_pslr_db", context),
+            _bool(_require(rec, "accepted", context), f"{context}.accepted"),
+        )
+        if record.best_pslr_db < best:
             raise SchemaError(f"{path}: best PSLR decreases at iteration {i}")
-        if _bool(_require(rec, "accepted", context), f"{context}.accepted"):
-            improvements += 1
-        best_prev = best
+        if record != IterationRecord.scored(i, record.candidate_pslr_db, best):
+            raise SchemaError(f"{path}: iteration {i} breaks the acceptance rule: a candidate is accepted, "
+                              f"and its PSLR becomes the best, exactly when it exceeds the best before it")
+        records.append(record)
+        best = record.best_pslr_db
     context = f"{path}: summary"
-    if _integer(summary, "iterations", context) != len(iterations):
-        raise SchemaError(f"{path}: summary iteration count does not match the records")
-    if _integer(summary, "improvements", context) != improvements:
-        raise SchemaError(f"{path}: summary improvement count does not match the records")
-    final = _number(summary, "final_pslr_db", context)
-    initial = _number(meta, "initial_pslr_db", f"{path}: meta")
-    if iterations and abs(final - best_prev) > 1e-12:
-        raise SchemaError(f"{path}: summary final PSLR does not match the last record")
     termination = _require(summary, "termination", context)
     if termination not in TERMINATIONS:
         raise SchemaError(f"{context}.termination: expected one of {', '.join(TERMINATIONS)}, "
                           f"got {termination!r}")
-    return TraceSummary(
-        iterations=len(iterations),
-        termination=termination,
-        initial_pslr_db=initial,
-        final_pslr_db=final,
-        improvements=improvements,
-    )
+    trace = OptimizerTrace(records=tuple(records), initial_pslr_db=initial, termination=termination)
+    written = {"type": "summary", "termination": termination,
+               "final_pslr_db": _number(summary, "final_pslr_db", context),
+               "improvements": _integer(summary, "improvements", context),
+               "iterations": _integer(summary, "iterations", context)}
+    for key, value in _summary(trace).items():
+        if written[key] != value:
+            raise SchemaError(f"{context}.{key}: {written[key]!r} does not match the records' {value!r}")
+    return trace
 
 
 def write_manifest(

@@ -115,6 +115,16 @@ class IterationRecord:
     best_pslr_db: float
     accepted: bool
 
+    @classmethod
+    def scored(cls, k: int, candidate_pslr_db: float, best_pslr_db: float) -> IterationRecord:
+        """Iteration ``k`` of a search whose best PSLR was ``best_pslr_db`` before it.
+
+        The acceptance rule: the candidate is accepted only on a strict PSLR
+        increase, and then its PSLR becomes the best.
+        """
+        accepted = candidate_pslr_db > best_pslr_db
+        return cls(k, candidate_pslr_db, candidate_pslr_db if accepted else best_pslr_db, accepted)
+
 
 @dataclass(frozen=True)
 class OptimizerTrace:
@@ -466,14 +476,14 @@ def optimize(spec: DesignSpec) -> tuple[ArrayLayout, OptimizerTrace]:
     fov = scoring_fov(grid)
     band = fov_band(eval_grid, fov)
     layout = _initial_layout(spec, grid)
-    # Phasor tables per lattice (by id: the band, or the lattice itself), built
-    # on first use and shared by every candidate, whose VRX lie on one virtual grid.
-    tables: dict[int, tuple] = {}
+    # Phasor tables per lattice (the band, or the lattice itself), built on
+    # first use and shared by every candidate, whose VRX lie on one virtual grid.
+    tables: dict[UVGrid, tuple] = {}
 
     def pattern_on(lattice: UVGrid, vrx: VirtualArray, snapshot: np.ndarray) -> Pattern:
-        if id(lattice) not in tables:
-            tables[id(lattice)] = phasor_tables(lattice, vrx.grid)
-        return beamform(vrx, snapshot, lattice, tables[id(lattice)])
+        if lattice not in tables:
+            tables[lattice] = phasor_tables(lattice, vrx.grid)
+        return beamform(vrx, snapshot, lattice, tables[lattice])
 
     def score(lay: ArrayLayout) -> float:
         # Every FOV node lies in the band; a lobe that may leave it is scored on the lattice.
@@ -498,11 +508,11 @@ def optimize(spec: DesignSpec) -> tuple[ArrayLayout, OptimizerTrace]:
     else:
         for k in range(1, spec.k_max + 1):
             candidate, stagnated = propose_candidate(best, rng, spec.intensity, spec.zones)
-            candidate_pslr = best_pslr if stagnated else score(candidate)
-            accepted = candidate_pslr > best_pslr
-            if accepted:
-                best, best_pslr = candidate, candidate_pslr
-            records.append(IterationRecord(k, candidate_pslr, best_pslr, accepted))
+            record = IterationRecord.scored(k, best_pslr if stagnated else score(candidate), best_pslr)
+            if record.accepted:
+                best = candidate
+            best_pslr = record.best_pslr_db
+            records.append(record)
             if best_pslr >= spec.desired_pslr_db:
                 termination = PSLR_REACHED
                 break

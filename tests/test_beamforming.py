@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from saf import (
     ArrayLayout,
     GridSpec,
+    Pattern,
     Target,
     angles_to_uv,
     beamform,
@@ -17,7 +18,7 @@ from saf import (
     synthesize_snapshot,
     uv_to_angles,
 )
-from saf.beamforming import phasor_tables
+from saf.beamforming import UVBand, _PhasorTable, phasor_tables
 from conftest import (dirichlet_magnitude, direct_pattern, linear_layout, per_call_pattern, small_size,
                       ula_layout)
 
@@ -87,6 +88,17 @@ class TestUVGrid:
             make_uv_grid(0, 1, 1, 1)
         with pytest.raises(ValueError):
             make_uv_cut(4, 0)
+
+    def test_grids_bands_and_patterns_compare_by_identity(self):
+        # Their fields are arrays, so a field-wise == raised and hash() refused them.
+        grid = make_uv_grid(2, 2, 2, 2)
+        band = UVBand(grid.u_samples, grid.v_samples[1:3])
+        vrx = build_virtual_array(ula_layout(2))
+        pattern = beamform(vrx, np.ones(2), grid)
+        for one, twin in ((grid, make_uv_grid(2, 2, 2, 2)), (band, UVBand(band.u_samples, band.v_samples)),
+                          (pattern, Pattern(grid, pattern.values, vrx))):
+            assert one == one and one != twin
+            assert {one: 1, twin: 2}[one] == 1
 
 
 class TestSteering:
@@ -217,6 +229,17 @@ class TestBeamform:
             assert np.array_equal(beamform(vrx, snap, grid).values, expected)
             assert np.array_equal(beamform(vrx, snap, make_uv_grid(19, 19, 4, 2)).values, expected)
             assert np.array_equal(beamform(vrx, snap, grid, tables).values, expected)
+
+    def test_a_first_fill_allocates_only_the_rows_it_fills(self):
+        # A one-off beamform fills its tables once; the search's tables grow by doubling.
+        samples = np.linspace(-1.0, 1.0, 5)
+        table = _PhasorTable(samples, 0.5, 10)
+        table.gather(np.array([7, 2, 7, 4]))
+        assert len(table._rows) == 3
+        table.gather(np.array([1, 2]))
+        assert len(table._rows) == 6
+        k = np.array([7, 1, 4, 2])
+        assert np.array_equal(table.gather(k), np.exp(-2j * np.pi * np.outer(k * 0.5, samples)))
 
     def test_linearity(self, rng):
         vrx = build_virtual_array(ula_layout(12))

@@ -37,7 +37,7 @@ from saf.io import (
     layout_to_dict,
     load_design_config,
     load_layout,
-    read_trace_summary,
+    read_trace,
     save_layout,
     spec_from_dict,
     spec_hash,
@@ -512,6 +512,11 @@ def _saf_log(tmp_path, monkeypatch):
                      2, "grid: cannot set 'n'", id="layout-grid-unknown-key"),
         pytest.param(lambda t, m: _design(t) + ["--threads", "-3"], 2, "argument --threads",
                      id="design-threads-below-one"),
+        # An oversampling of 0 used to exit 2 saying the spacing exceeds q_phi / 2 = 0.
+        pytest.param(lambda t, m: _evaluate(t, layout_to_dict(ula_layout(4))) + ["--grid-oversample", "0"],
+                     2, "argument --grid-oversample", id="evaluate-grid-oversample-zero"),
+        pytest.param(lambda t, m: _design(t) + ["--grid-oversample", "-2"], 2, "argument --grid-oversample",
+                     id="design-grid-oversample-negative"),
         pytest.param(_saf_log, 2, "", id="invalid-saf-log"),
         # JSON values of the wrong type are refused, not converted.
         pytest.param(lambda t, m: _design(t, use_hia="false"), 2, "config.use_hia",
@@ -607,12 +612,24 @@ def test_lattice_too_large_to_allocate_exits_2(argv, tmp_path):
     assert result.stderr.startswith("error: the scoring lattice") and result.stderr.count("\n") == 1
 
 
-def _loads_hashlib(statements: str) -> bool:
-    """Whether a new interpreter has imported ``hashlib`` after running ``statements``."""
-    result = subprocess.run([sys.executable, "-c", f"import sys\n{statements}\nprint('hashlib' in sys.modules)"],
+def _loads(module: str, statements: str) -> bool:
+    """Whether a new interpreter has imported ``module`` after running ``statements``."""
+    result = subprocess.run([sys.executable, "-c", f"import sys\n{statements}\nprint({module!r} in sys.modules)"],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()[-1] == "True"
+
+
+def _main_exits_0(argv) -> str:
+    """Statements that run ``saf.cli.main(argv)`` and assert it returned or exited 0."""
+    return f"""
+from saf.cli import main
+try:
+    code = main({argv!r})
+except SystemExit as exited:
+    code = exited.code
+assert code == 0, code
+"""
 
 
 @pytest.mark.parametrize("argv", [
@@ -622,16 +639,20 @@ def _loads_hashlib(statements: str) -> bool:
 ], ids=["evaluate", "report", "version"])
 def test_openssl_is_loaded_only_to_take_a_digest(argv, tmp_path):
     # hashlib loads OpenSSL, about 3.5 MB of RSS; of all commands, only design's manifest takes a digest.
-    if _loads_hashlib("import numpy"):
+    if _loads("hashlib", "import numpy"):
         pytest.skip("importing numpy loads hashlib")
-    assert not _loads_hashlib(f"""
-from saf.cli import main
-try:
-    code = main({argv(tmp_path)!r})
-except SystemExit as exited:
-    code = exited.code
-assert code == 0, code
-""")
+    assert not _loads("hashlib", _main_exits_0(argv(tmp_path)))
+
+
+@pytest.mark.parametrize("argv", [
+    lambda t: _evaluate(t, layout_to_dict(ula_layout(8))),
+    lambda t: _design(t) + ["--threads", "1"],
+], ids=["evaluate", "design"])
+def test_numpy_ma_is_not_loaded(argv, tmp_path):
+    # numpy 2.4's np.unique imports numpy.ma on its first call: 14-24 ms and 1.27 MB per command.
+    if _loads("numpy.ma", "import numpy"):
+        pytest.skip("importing numpy loads numpy.ma")
+    assert not _loads("numpy.ma", _main_exits_0(argv(tmp_path)))
 
 
 @pytest.mark.parametrize(
@@ -761,6 +782,19 @@ class TestReportCommand:
         assert main(["report", "--trace", str(path)]) == 2
         assert "decreases" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("records, message", [
+        # The search writes no iteration line only when its initial PSLR is its final one.
+        ([{**_META, "initial_pslr_db": 5.0},
+          {**_SUMMARY, "final_pslr_db": 9.0, "improvements": 0, "iterations": 0}], "summary.final_pslr_db"),
+        # The first best is the initial PSLR or a candidate above it.
+        ([{**_META, "initial_pslr_db": 5.0}, _ITERATION, _SUMMARY], "decreases"),
+        # A rejected candidate leaves the best as it was.
+        ([_META, {**_ITERATION, "accepted": False}, {**_SUMMARY, "improvements": 0}], "acceptance rule"),
+    ], ids=["final-without-iterations", "first-best-below-initial", "best-rises-unaccepted"])
+    def test_trace_the_search_cannot_write_rejected(self, records, message, tmp_path, capsys):
+        assert main(_report(tmp_path, *records)) == 2
+        assert message in capsys.readouterr().err
+
     def test_truncated_trace_rejected(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         self.write_trace(path, [(2.0, True)])
@@ -780,10 +814,7 @@ class TestReportCommand:
         _, trace = optimize(DesignSpec(**spec_args))
         path = tmp_path / "trace.jsonl"
         write_trace_jsonl(trace, path, seed=2, k_max=30)
-        summary = read_trace_summary(path)
-        assert summary.iterations == len(trace.records)
-        assert summary.final_pslr_db == pytest.approx(trace.final_pslr_db)
-        assert summary.termination == trace.termination
+        assert read_trace(path) == trace
 
 
 # Arbitrary JSON, weighted towards the values a reader is most likely to mishandle.
@@ -866,7 +897,7 @@ class TestReadersOnFuzzedInput:
     def test_trace_and_report(self, records, tmp_path, capsys):
         argv = _report(tmp_path, *records)
         try:
-            read_trace_summary(argv[-1])
+            read_trace(argv[-1])
         except ValueError:
             pass
         assert main(argv) in (0, 2)

@@ -597,6 +597,25 @@ class TestEvaluateLayout:
         _, report = evaluate_layout(layout, q_phi=2, q_theta=4)
         assert report.aperture_loss_factor == 0.5
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_transposed_layout_swaps_the_axes(self, seed):
+        # Swapping m and n (and M and N, with d_y = d_z) mirrors the pattern in u = v:
+        # each azimuth figure becomes the elevation one and back, the PSLR stays.
+        nodes = np.random.default_rng(seed).choice(9 * 7, size=8, replace=False)
+        coords = [(int(i) % 9, int(i) // 9) for i in nodes]
+        size = ElementSize(0.1, 0.1)
+        layout = ArrayLayout(GridSpec(0.5, 0.5, 9, 7), coords[:3], coords[3:], size, size)
+        flipped = ArrayLayout(GridSpec(0.5, 0.5, 7, 9), [(n, m) for m, n in coords[:3]],
+                              [(n, m) for m, n in coords[3:]], size, size)
+        _, report = evaluate_layout(layout, q_phi=4, q_theta=4)
+        _, transposed = evaluate_layout(flipped, q_phi=4, q_theta=4)
+        assert transposed.pslr_db == pytest.approx(report.pslr_db, rel=1e-9)
+        for az, el in (("hpbw_az", "hpbw_el"), ("ufov_az", "ufov_el"),
+                       ("grating_lobes_az", "grating_lobes_el"), ("fnbw_az", "fnbw_el"),
+                       ("bw_spreading_az", "bw_spreading_el"), ("peak_u", "peak_v")):
+            assert getattr(transposed, az) == pytest.approx(getattr(report, el), rel=1e-9)
+            assert getattr(transposed, el) == pytest.approx(getattr(report, az), rel=1e-9)
+
     def test_min_axis_spacing(self):
         assert min_axis_spacing(np.array([0.0, 0.5, 1.5])) == pytest.approx(0.5)
         assert min_axis_spacing(np.array([2.0, 2.0])) is None

@@ -385,7 +385,7 @@ class TestOptimize:
             init(table, *args)
 
         def served(vrx, snapshot, grid, *args):
-            lattices.add(id(grid))
+            lattices.add(grid)
             return real_beamform(vrx, snapshot, grid, *args)
 
         monkeypatch.setattr(beamforming._PhasorTable, "__init__", counted_table)
