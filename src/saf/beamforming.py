@@ -14,12 +14,15 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .geometry import GridSpec, VirtualArray
+
+if TYPE_CHECKING:
+    from .metrics import Peak
 
 _UV_EPS = 1e-12
 
@@ -39,8 +42,8 @@ class _PhasorTable:
     evaluation over VRX coordinates k d, so a gathered row has the same bits.
 
     The slot array has one entry per index of the virtual grid's axis;
-    ``metrics.check_lobe_sampling`` bounds the scoring lattice, and with it
-    that axis, before a table is built.
+    ``metrics.scoring_grid`` bounds the scoring lattice, and with it that
+    axis, before a table is built.
     """
 
     def __init__(self, samples: np.ndarray, d: float, count: int):
@@ -73,42 +76,42 @@ class _PhasorTable:
 
 @dataclass(frozen=True, eq=False)
 class UVGrid:
-    """Uniform sine-space sample lattice.
+    """Uniform sine-space sample lattice and the field of view it is scored in.
 
     From ``make_uv_grid(M, N, q_phi, q_theta)``, ``u_samples`` has M * q_phi
     entries and ``v_samples`` N * q_theta, both covering [-1, 1). ``cut`` grids (the single row v = 0) relax the v formula
     so linear arrays can be scored on their broadside azimuth cut.
 
-    A grid keeps the visibility masks per FOV, each built on first use. Its
-    phasor tables belong to the caller that beamforms many arrays on it (see
+    ``fov`` is the rectangle every peak, sidelobe and band of the lattice is
+    taken in, within the real-angle disk; None means the whole disk.
+    ``metrics.scoring_grid`` sets it to the reference grid's uFOV.
+
+    A grid keeps its visibility mask, built on first use. Its phasor tables
+    belong to the caller that beamforms many arrays on it (see
     ``phasor_tables``), so a pattern does not keep them alive. Grids compare
     and hash by identity, since ``==`` on an array field gives no single bool.
     """
 
     u_samples: np.ndarray
     v_samples: np.ndarray
+    fov: Optional[FovRect] = None
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.v_samples.size, self.u_samples.size)
 
     @functools.cached_property
-    def _visible_masks(self) -> dict[Optional[FovRect], np.ndarray]:
-        return {}
-
-    def visible(self, fov: Optional[FovRect]) -> np.ndarray:
-        """Read-only mask of the nodes in the real-angle disk and, unless None, the FOV rectangle."""
-        if fov not in self._visible_masks:
-            uu = self.u_samples[None, :]
-            vv = self.v_samples[:, None]
-            visible = uu * uu + vv * vv <= 1.0 + _UV_EPS
-            if fov is not None:
-                u_min, u_max, v_min, v_max = fov
-                visible = visible & (uu >= u_min - _UV_EPS) & (uu <= u_max + _UV_EPS)
-                visible = visible & (vv >= v_min - _UV_EPS) & (vv <= v_max + _UV_EPS)
-            visible.flags.writeable = False
-            self._visible_masks[fov] = visible
-        return self._visible_masks[fov]
+    def visible(self) -> np.ndarray:
+        """Read-only mask of the nodes in the real-angle disk and, unless ``fov`` is None, its rectangle."""
+        uu = self.u_samples[None, :]
+        vv = self.v_samples[:, None]
+        visible = uu * uu + vv * vv <= 1.0 + _UV_EPS
+        if self.fov is not None:
+            u_min, u_max, v_min, v_max = self.fov
+            visible = visible & (uu >= u_min - _UV_EPS) & (uu <= u_max + _UV_EPS)
+            visible = visible & (vv >= v_min - _UV_EPS) & (vv <= v_max + _UV_EPS)
+        visible.flags.writeable = False
+        return visible
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,6 +190,7 @@ class Pattern:
     grid: UVGrid
     values: np.ndarray
     vrx: VirtualArray
+    peak: Optional[Peak] = field(default=None, init=False, repr=False)  # set by metrics.find_peak, searched once
 
     def __post_init__(self):
         if self.values.shape != self.grid.shape:
@@ -196,11 +200,6 @@ class Pattern:
     def magnitude(self) -> np.ndarray:
         """|values|, computed once per pattern: ``values`` must not be modified in place."""
         return np.abs(self.values)
-
-    @functools.cached_property
-    def peaks(self) -> dict:
-        """``metrics.find_peak`` results per FOV, so that each is searched for once."""
-        return {}
 
 
 def steering_vector(vrx: VirtualArray, u: float, v: float) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from .beamforming import Pattern
 from .geometry import BOTH_EXCLUDED, ArrayLayout, Coord, ElementSize, ForbiddenZone, GridSpec
 from .metrics import MetricsReport
-from .optimizer import TERMINATIONS, DesignSpec, IterationRecord, OptimizerTrace
+from .optimizer import BUDGET, TERMINATIONS, DesignSpec, IterationRecord, OptimizerTrace
 
 DB_FLOOR = -120.0
 _TINY = 5e-324  # smallest positive double: 20 log10 of it is far below DB_FLOOR
@@ -463,7 +463,9 @@ def read_trace(path: Path) -> OptimizerTrace:
     be ``IterationRecord.scored`` of its candidate PSLR and the best before
     it: a candidate is accepted only on a strict PSLR increase, and then its
     PSLR becomes the best. The summary must equal the one the writer makes of
-    these records, exactly: JSON numbers read back as the floats written.
+    these records, exactly: JSON numbers read back as the floats written. A
+    search runs at most the meta line's ``k_max`` iterations, at least 1, and
+    stops on its budget only after exactly that many.
     """
     lines = []
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -509,6 +511,10 @@ def read_trace(path: Path) -> OptimizerTrace:
     for key, value in _summary(trace).items():
         if written[key] != value:
             raise SchemaError(f"{context}.{key}: {written[key]!r} does not match the records' {value!r}")
+    k_max = _integer(meta, "k_max", f"{path}: meta")
+    if k_max < 1 or len(records) > k_max or (termination == BUDGET and len(records) != k_max):
+        raise SchemaError(f"{path}: {len(records)} iterations ending in {termination!r} do not fit "
+                          f"the meta line's k_max {k_max}: a search stops on its budget after exactly k_max")
     return trace
 
 

@@ -78,14 +78,29 @@ class MainLobeMask:
 
 
 def scoring_grid(grid: GridSpec, q_phi: int, q_theta: int) -> UVGrid:
-    """Sine-space lattice a layout on reference ``grid`` is scored on.
+    """Sine-space lattice a layout on reference ``grid`` is scored on, in ``scoring_fov(grid)``.
 
     The lattice matches the virtual grid, twice the physical aperture: a
     single grid row (linear array) gets the v = 0 azimuth cut.
+
+    Raises ValueError unless the lattice can score layouts on ``grid``. It
+    takes about q / d samples across the null-to-null main-lobe width, so each
+    axis needs ``d <= q / 2``; a linear array's v = 0 cut samples u only. A
+    coarser PSLR would be aliased, and the rule also bounds the grating-lobe
+    lists, about 2 d angles per axis, by the lattice size. The lattice may
+    hold at most ``MAX_LATTICE_NODES`` nodes, checked before it is allocated.
     """
-    if grid.N == 1:
-        return make_uv_cut(2 * grid.M - 1, q_phi)
-    return make_uv_grid(2 * grid.M - 1, 2 * grid.N - 1, q_phi, q_theta)
+    M, N = 2 * grid.M - 1, 2 * grid.N - 1
+    for name, d, q, q_name in (("y", grid.d_y, q_phi, "q_phi"), ("z", grid.d_z, q_theta, "q_theta")):
+        if d > q / 2.0 and (name == "y" or grid.N > 1):
+            raise ValueError(f"grid spacing d_{name} = {d:g} wavelengths exceeds {q_name} / 2 = {q / 2.0:g}: "
+                             f"the scoring lattice samples the main lobe fewer than twice")
+    n_u, n_v = M * q_phi, 1 if grid.N == 1 else N * q_theta
+    if n_u * n_v > MAX_LATTICE_NODES:
+        raise ValueError(f"the scoring lattice of a {grid.M} x {grid.N} grid at q_phi = {q_phi}, "
+                         f"q_theta = {q_theta} has {n_v} x {n_u} nodes, more than {MAX_LATTICE_NODES}")
+    lattice = make_uv_cut(M, q_phi) if grid.N == 1 else make_uv_grid(M, N, q_phi, q_theta)
+    return UVGrid(lattice.u_samples, lattice.v_samples, scoring_fov(grid))
 
 
 def scoring_fov(grid: GridSpec) -> FovRect:
@@ -94,61 +109,50 @@ def scoring_fov(grid: GridSpec) -> FovRect:
     return (-su, su, -sv, sv)
 
 
-def fov_band(lattice: UVGrid, fov: FovRect) -> UVGrid:
-    """The rows of ``lattice`` that hold FOV nodes, as a ``UVBand``, or ``lattice`` if that is every row."""
-    rows = np.flatnonzero(lattice.visible(fov).any(1))
+def fov_band(lattice: UVGrid) -> UVGrid:
+    """The rows of ``lattice`` that hold FOV nodes, as a ``UVBand`` in its FOV, or ``lattice`` if that is every row."""
+    rows = np.flatnonzero(lattice.visible.any(1))
     if rows.size == lattice.shape[0]:
         return lattice
-    return UVBand(lattice.u_samples, lattice.v_samples[rows[0]:rows[-1] + 1])
+    return UVBand(lattice.u_samples, lattice.v_samples[rows[0]:rows[-1] + 1], lattice.fov)
 
 
-def check_lobe_sampling(grid: GridSpec, q_phi: int, q_theta: int) -> None:
-    """Raise ValueError unless ``scoring_grid`` can score layouts on ``grid``.
+def find_peak(pattern: Pattern) -> Peak:
+    """Maximum magnitude inside the grid's FOV (the real-angle disk u^2+v^2 <= 1 when ``fov`` is None).
 
-    The lattice takes about q / d samples across the null-to-null main-lobe
-    width, so each axis needs ``d <= q / 2``; a linear array's v = 0 cut
-    samples u only. A coarser PSLR would be aliased, and the rule also bounds
-    the grating-lobe lists, about 2 d angles per axis, by the lattice size.
-    The lattice may hold at most ``MAX_LATTICE_NODES`` nodes; the check
-    allocates nothing, so it runs before the lattice is built.
+    Of equal maxima, the node nearest the FOV centre wins ((0, 0) for the
+    disk), then the smallest (v index, u index). The peak is kept on the
+    pattern, so a second call does not search again.
     """
-    for name, d, q, q_name in (("y", grid.d_y, q_phi, "q_phi"), ("z", grid.d_z, q_theta, "q_theta")):
-        if d > q / 2.0 and (name == "y" or grid.N > 1):
-            raise ValueError(f"grid spacing d_{name} = {d:g} wavelengths exceeds {q_name} / 2 = {q / 2.0:g}: "
-                             f"the scoring lattice samples the main lobe fewer than twice")
-    n_u = (2 * grid.M - 1) * q_phi
-    n_v = 1 if grid.N == 1 else (2 * grid.N - 1) * q_theta
-    if n_u * n_v > MAX_LATTICE_NODES:
-        raise ValueError(f"the scoring lattice of a {grid.M} x {grid.N} grid at q_phi = {q_phi}, "
-                         f"q_theta = {q_theta} has {n_v} x {n_u} nodes, more than {MAX_LATTICE_NODES}")
-
-
-def find_peak(pattern: Pattern, fov: Optional[FovRect] = None) -> Peak:
-    """Maximum magnitude inside the FOV (default: the real-angle disk u^2+v^2 <= 1).
-
-    Ties resolve to the smallest (v index, u index). The peak is kept on the
-    pattern, so a second call with the same FOV does not search again.
-    """
-    if fov in pattern.peaks:
-        return pattern.peaks[fov]
-    visible = pattern.grid.visible(fov)
-    rows = np.flatnonzero(visible.any(axis=1))
+    if pattern.peak is not None:
+        return pattern.peak
+    grid = pattern.grid
+    rows = np.flatnonzero(grid.visible.any(axis=1))
     if rows.size == 0:
         raise ValueError("FOV does not intersect the pattern grid")
     # Copy only the rows that hold a visible node: on the full lattice a FOV
     # spans half of them or fewer, and the copy counts in the peak RSS.
     first, stop = int(rows[0]), int(rows[-1]) + 1
-    mag = np.where(visible[first:stop], pattern.magnitude[first:stop], -1.0)
-    iv, iu = np.unravel_index(int(np.argmax(mag)), mag.shape)
+    mag = np.where(grid.visible[first:stop], pattern.magnitude[first:stop], -1.0)
+    top = int(np.argmax(mag))
+    tied = mag == mag.flat[top]
+    if np.count_nonzero(tied) > 1:  # counted first: listing the ties on every call costs more
+        u_min, u_max, v_min, v_max = (-1.0, 1.0, -1.0, 1.0) if grid.fov is None else grid.fov
+        ties = np.flatnonzero(tied)
+        tv, tu = np.divmod(ties, mag.shape[1])
+        du = grid.u_samples[tu] - (u_min + u_max) / 2.0
+        dv = grid.v_samples[tv + first] - (v_min + v_max) / 2.0
+        top = int(ties[np.argmin(du * du + dv * dv)])  # argmin keeps the first: the smallest index
+    iv, iu = np.unravel_index(top, mag.shape)
     iv += first
     peak = Peak(
         magnitude=float(pattern.magnitude[iv, iu]),
-        u=float(pattern.grid.u_samples[iu]),
-        v=float(pattern.grid.v_samples[iv]),
+        u=float(grid.u_samples[iu]),
+        v=float(grid.v_samples[iv]),
         iu=int(iu),
         iv=int(iv),
     )
-    pattern.peaks[fov] = peak
+    object.__setattr__(pattern, "peak", peak)
     return peak
 
 
@@ -181,17 +185,17 @@ def mask_main_lobe(pattern: Pattern, peak: Peak) -> MainLobeMask:
         radius *= 2
 
 
-def pslr(pattern: Pattern, fov: Optional[FovRect] = None) -> float:
+def pslr(pattern: Pattern) -> float:
     """Peak-to-sidelobe ratio in dB: peak over the largest magnitude outside the main lobe.
 
-    Both maxima are restricted to the FOV. Returns ``math.inf`` when nothing
+    Both maxima are restricted to the grid's FOV. Returns ``math.inf`` when nothing
     remains outside the main lobe (single-lobe pattern). On a ``UVBand``
     pattern whose main lobe reaches the band's first or last row, raises
     ``LobeLeavesBand``: the lobe may continue outside the band, so only the
     full lattice scores it exactly.
     """
-    peak = find_peak(pattern, fov)
-    visible = pattern.grid.visible(fov)
+    peak = find_peak(pattern)
+    visible = pattern.grid.visible
     mag = pattern.magnitude
     if peak.magnitude - mag.min(where=visible, initial=peak.magnitude) <= peak.magnitude * 1e-12:
         raise ValueError("degenerate pattern: all magnitudes equal inside the FOV")
@@ -378,19 +382,17 @@ def evaluate_layout(
 
     Defaults to a single unit broadside target. Linear layouts (single grid
     row) are scored on the v = 0 azimuth cut. The PSLR, its peak and the
-    beamwidth cuts through that peak lie in ``scoring_fov(layout.grid)``, as
+    beamwidth cuts through that peak lie in the FOV of ``scoring_grid``, as
     in the optimizer. The thinning-ratio reference is the fully populated grid
     covering the VRX bounding box; aperture areas are element-center boxes.
     """
     vrx = build_virtual_array(layout)
-    check_lobe_sampling(layout.grid, q_phi, q_theta)
     grid = scoring_grid(layout.grid, q_phi, q_theta)
     snapshot = synthesize_snapshot(vrx, BROADSIDE if targets is None else targets)
     pattern = beamform(vrx, snapshot, grid)
 
-    fov = scoring_fov(layout.grid)
-    pslr_db = pslr(pattern, fov)
-    peak = find_peak(pattern, fov)  # pslr's peak, not searched again: the beamwidth cuts go through it
+    pslr_db = pslr(pattern)
+    peak = find_peak(pattern)  # pslr's peak, not searched again: the beamwidth cuts go through it
 
     m_size, n_size = (vrx.vrx_positions.max(0) - vrx.vrx_positions.min(0) + 1).tolist()
     reference = GridSpec(vrx.grid.d_y, vrx.grid.d_z, m_size, n_size)

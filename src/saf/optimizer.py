@@ -32,7 +32,7 @@ from .geometry import (
     check_overlap,
     element_conflicts,
 )
-from .metrics import LobeLeavesBand, check_lobe_sampling, fov_band, pslr, scoring_fov, scoring_grid
+from .metrics import LobeLeavesBand, fov_band, pslr, scoring_grid
 
 # Span (dB) of the last three best-PSLR checkpoints below which the search
 # is declared converged.
@@ -469,12 +469,10 @@ def optimize(spec: DesignSpec) -> tuple[ArrayLayout, OptimizerTrace]:
     grid, _virtual = derive_grid(spec)
     rng = np.random.default_rng(spec.seed)
     try:
-        check_lobe_sampling(grid, spec.q_phi, spec.q_theta)
+        eval_grid = scoring_grid(grid, spec.q_phi, spec.q_theta)
     except ValueError as exc:
         raise InfeasibleSpecError(str(exc)) from exc
-    eval_grid = scoring_grid(grid, spec.q_phi, spec.q_theta)
-    fov = scoring_fov(grid)
-    band = fov_band(eval_grid, fov)
+    band = fov_band(eval_grid)
     layout = _initial_layout(spec, grid)
     # Phasor tables per lattice (the band, or the lattice itself), built on
     # first use and shared by every candidate, whose VRX lie on one virtual grid.
@@ -491,9 +489,9 @@ def optimize(spec: DesignSpec) -> tuple[ArrayLayout, OptimizerTrace]:
         snapshot = synthesize_snapshot(vrx, BROADSIDE)
         try:
             try:
-                return pslr(pattern_on(band, vrx, snapshot), fov)
+                return pslr(pattern_on(band, vrx, snapshot))
             except LobeLeavesBand:
-                return pslr(pattern_on(eval_grid, vrx, snapshot), fov)
+                return pslr(pattern_on(eval_grid, vrx, snapshot))
         except ValueError as exc:  # a pattern PSLR cannot score, such as one VRX's flat pattern
             raise InfeasibleSpecError(str(exc)) from exc
 

@@ -740,7 +740,9 @@ class TestSubprocessEntryPoint:
 
 class TestReportCommand:
     def write_trace(self, path, iterations, termination="budget", initial=1.0):
-        lines = [json.dumps({"type": "meta", "seed": 0, "k_max": 10, "initial_pslr_db": initial})]
+        # A budget ends a search after exactly k_max iterations, and a search runs at least one.
+        k_max = max(len(iterations), 1)
+        lines = [json.dumps({"type": "meta", "seed": 0, "k_max": k_max, "initial_pslr_db": initial})]
         best = initial
         improvements = 0
         for k, (cand, accepted) in enumerate(iterations, start=1):
@@ -790,7 +792,15 @@ class TestReportCommand:
         ([{**_META, "initial_pslr_db": 5.0}, _ITERATION, _SUMMARY], "decreases"),
         # A rejected candidate leaves the best as it was.
         ([_META, {**_ITERATION, "accepted": False}, {**_SUMMARY, "improvements": 0}], "acceptance rule"),
-    ], ids=["final-without-iterations", "first-best-below-initial", "best-rises-unaccepted"])
+        # The search stops by k_max at the latest, and on its budget only there.
+        ([_META, _ITERATION, {**_ITERATION, "k": 2, "candidate_pslr_db": 1.5, "accepted": False},
+          {**_SUMMARY, "termination": "plateau", "iterations": 2}], "k_max 1"),
+        ([{**_META, "k_max": 2}, _ITERATION, _SUMMARY], "k_max 2"),
+        ([{**_META, "k_max": 1.0}, _ITERATION, _SUMMARY], "meta.k_max"),
+        ([{**_META, "k_max": 0}, {**_SUMMARY, "termination": "pslr-reached", "final_pslr_db": 1.0,
+                                  "improvements": 0, "iterations": 0}], "k_max 0"),
+    ], ids=["final-without-iterations", "first-best-below-initial", "best-rises-unaccepted",
+            "iterations-over-k_max", "budget-before-k_max", "k_max-not-an-integer", "k_max-below-one"])
     def test_trace_the_search_cannot_write_rejected(self, records, message, tmp_path, capsys):
         assert main(_report(tmp_path, *records)) == 2
         assert message in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -37,8 +38,7 @@ from saf import (
 )
 from saf import geometry, metrics
 from saf.beamforming import BROADSIDE, UVBand, UVGrid
-from saf.metrics import (_LOBE_WINDOW, MAX_LATTICE_NODES, LobeLeavesBand, check_lobe_sampling, fov_band,
-                         scoring_grid)
+from saf.metrics import _LOBE_WINDOW, MAX_LATTICE_NODES, LobeLeavesBand, fov_band, scoring_grid
 from conftest import (
     direct_pattern,
     dirichlet_magnitude,
@@ -50,16 +50,21 @@ from conftest import (
 )
 
 
-def ula_pattern(n, d_y=0.5, q=8, target=Target(0.0, 0.0)):
+def in_fov(grid, fov):
+    """``grid``'s samples, scored in ``fov``."""
+    return dataclasses.replace(grid, fov=fov)
+
+
+def ula_pattern(n, d_y=0.5, q=8, target=Target(0.0, 0.0), fov=None):
     vrx = build_virtual_array(ula_layout(n, d_y=d_y))
-    grid = make_uv_cut(vrx.grid.M, q)
+    grid = in_fov(make_uv_cut(vrx.grid.M, q), fov)
     return beamform(vrx, synthesize_snapshot(vrx, [target]), grid)
 
 
-def synthetic_cut(values):
+def synthetic_cut(values, fov=None):
     """Pattern wrapper around explicit magnitudes on a v = 0 cut."""
     values = np.asarray(values, dtype=complex).reshape(1, -1)
-    grid = make_uv_cut(values.shape[1], 1)
+    grid = in_fov(make_uv_cut(values.shape[1], 1), fov)
     vrx = build_virtual_array(ula_layout(2))
     return Pattern(grid=grid, values=values, vrx=vrx)
 
@@ -90,9 +95,9 @@ def first_peak(mag):
     return np.unravel_index(int(np.argmax(mag)), mag.shape)
 
 
-def pattern_of(mag):
+def pattern_of(mag, fov=None):
     n_v, n_u = mag.shape
-    return Pattern(make_uv_grid(n_u, n_v, 1, 1), mag.astype(complex), build_virtual_array(ula_layout(2)))
+    return Pattern(in_fov(make_uv_grid(n_u, n_v, 1, 1), fov), mag.astype(complex), build_virtual_array(ula_layout(2)))
 
 
 class TestFindPeak:
@@ -102,29 +107,34 @@ class TestFindPeak:
         assert peak.magnitude == pytest.approx(16.0, abs=1e-9)
         assert peak.u == 0.0 and peak.v == 0.0
 
-    def test_tie_break_first_node(self):
-        pattern = synthetic_cut(np.ones(8))
-        peak = find_peak(pattern)
-        assert (peak.iv, peak.iu) == (0, 0)
+    # u samples of the 8-node cut: -1, -0.75, ..., 0.75. Both axes of the 4x4 grid: -1, -0.5, 0, 0.5.
+    @pytest.mark.parametrize("values, fov, node", [
+        (np.ones(8), None, (0, 4)),  # u = 0, the centre of the disk
+        ([0, 0, 1, 0, 0, 0, 1, 0], None, (0, 2)),  # u = -0.5 and 0.5 are equally near: the smaller index
+        (np.ones(8), (0.3, 1.0, -1.0, 1.0), (0, 7)),  # u = 0.75 is nearest the FOV's centre, 0.65
+        ([1, 1, 0, 0, 0, 0, 0, 0], (-1.0, 1.0, -0.5, 0.5), (0, 1)),  # u = -0.75 is nearer than u = -1
+        ([[0, 0, 1, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]], None, (2, 1)),  # (-0.5, 0) before (0, -1)
+    ], ids=["disk-centre", "equally-near", "fov-centre", "nearer-before-smaller-index", "planar"])
+    def test_tie_break_nearest_the_fov_centre(self, values, fov, node):
+        values = np.asarray(values, dtype=float)
+        peak = find_peak(synthetic_cut(values, fov) if values.ndim == 1 else pattern_of(values, fov))
+        assert (peak.iv, peak.iu) == node
 
     def test_fov_restriction(self):
-        pattern = ula_pattern(16)
         # restrict away from the main lobe; the peak becomes the first sidelobe
-        peak = find_peak(pattern, fov=(0.15, 1.0, -1.0, 1.0))
+        peak = find_peak(ula_pattern(16, fov=(0.15, 1.0, -1.0, 1.0)))
         assert peak.u >= 0.15
         assert peak.magnitude < 16.0
 
     def test_empty_fov_errors(self):
-        pattern = ula_pattern(8)
+        pattern = ula_pattern(8, fov=(2.0, 3.0, -1.0, 1.0))
         with pytest.raises(ValueError):
-            find_peak(pattern, fov=(2.0, 3.0, -1.0, 1.0))
+            find_peak(pattern)
 
     def test_each_fov_is_searched_once(self):
-        pattern = ula_pattern(16)
-        fov = (0.15, 1.0, -1.0, 1.0)
-        assert find_peak(pattern, fov) is find_peak(pattern, fov)
-        assert find_peak(pattern) != find_peak(pattern, fov)
-        assert set(pattern.peaks) == {None, fov}
+        disk, right = ula_pattern(16), ula_pattern(16, fov=(0.15, 1.0, -1.0, 1.0))
+        assert find_peak(right) is find_peak(right) is right.peak
+        assert find_peak(disk) is disk.peak != right.peak
 
 
 class TestMainLobeMask:
@@ -223,7 +233,7 @@ class TestDifferentialOracle:
             vrx = build_virtual_array(layout)
             pattern = beamform(vrx, synthesize_snapshot(vrx, targets or BROADSIDE), scoring_grid(g, q_phi, q_theta))
             with pytest.raises(ValueError):
-                reference_pslr(pattern.magnitude, pattern.grid.visible(scoring_fov(g)))
+                reference_pslr(pattern.magnitude, pattern.grid.visible)
             return
         vrx = pattern.vrx.vrx_positions
         assert vrx.dtype.kind == "i" and not vrx.flags.writeable
@@ -235,7 +245,8 @@ class TestDifferentialOracle:
         expected = direct_pattern(coords, snapshot, pattern.grid.u_samples, pattern.grid.v_samples)
         assert np.abs(pattern.values - expected).max() <= 1e-9 * np.abs(expected).max()
 
-        assert report.pslr_db == reference_pslr(pattern.magnitude, pattern.grid.visible(scoring_fov(g)))
+        assert pattern.grid.fov == scoring_fov(g)
+        assert report.pslr_db == reference_pslr(pattern.magnitude, pattern.grid.visible)
         ms, ns = zip(*sums)
         assert report.thinning_ratio == len(sums) / ((max(ms) - min(ms) + 1) * (max(ns) - min(ns) + 1))
 
@@ -263,7 +274,7 @@ class TestPslr:
     ], ids=["flat", "flat-inside-fov"])
     def test_degenerate_pattern_rejected(self, values, fov):
         with pytest.raises(ValueError, match="degenerate"):
-            pslr(synthetic_cut(values), fov)
+            pslr(synthetic_cut(values, fov))
 
     # Few distinct levels: ties, plateaus, flat FOVs and empty residuals are common.
     @settings(max_examples=300, deadline=None)
@@ -272,57 +283,54 @@ class TestPslr:
            st.one_of(st.none(), st.lists(st.floats(-1.1, 1.1), min_size=4, max_size=4)))
     def test_matches_reference(self, mag, edges):
         n_v, n_u = mag.shape
-        pattern = Pattern(make_uv_grid(n_u, n_v, 1, 1), mag.astype(complex),
-                          build_virtual_array(ula_layout(2)))
+        fov = None if edges is None else (*sorted(edges[:2]), *sorted(edges[2:]))
+        pattern = pattern_of(mag, fov)
         uu = pattern.grid.u_samples[None, :]
         vv = pattern.grid.v_samples[:, None]
         visible = uu * uu + vv * vv <= 1.0 + 1e-12
-        fov = None
-        if edges is not None:
-            fov = (*sorted(edges[:2]), *sorted(edges[2:]))
+        if fov is not None:
             visible &= (uu >= fov[0] - 1e-12) & (uu <= fov[1] + 1e-12)
             visible &= (vv >= fov[2] - 1e-12) & (vv <= fov[3] + 1e-12)
         try:
             expected = reference_pslr(mag, visible)
         except ValueError:
             with pytest.raises(ValueError):
-                pslr(pattern, fov)
+                pslr(pattern)
         else:
-            assert pslr(pattern, fov) == expected
+            assert pslr(pattern) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(wide_lobes(), st.lists(st.floats(-1.1, 1.1), min_size=4, max_size=4))
     def test_matches_reference_past_the_first_window(self, mag, edges):
-        pattern = pattern_of(mag)
-        fov = (*sorted(edges[:2]), *sorted(edges[2:]))
-        visible = pattern.grid.visible(fov)
+        pattern = pattern_of(mag, (*sorted(edges[:2]), *sorted(edges[2:])))
         try:
-            expected = reference_pslr(mag, visible)
+            expected = reference_pslr(mag, pattern.grid.visible)
         except ValueError:
             with pytest.raises(ValueError):
-                pslr(pattern, fov)
+                pslr(pattern)
         else:
-            assert pslr(pattern, fov) == expected
+            assert pslr(pattern) == expected
 
     @pytest.mark.parametrize("edge_row, outward", [(2, -1), (6, 1)], ids=["first-row", "last-row"])
     def test_lobe_leaving_the_band_is_refused(self, edge_row, outward):
-        lattice = make_uv_grid(16, 8, 1, 1)  # v = -1, -0.75, ..., 0.75
         fov = (-1.0, 1.0, -0.5, 0.5)  # rows 2 to 6
+        lattice = in_fov(make_uv_grid(16, 8, 1, 1), fov)  # v = -1, -0.75, ..., 0.75
         mag = escaping_lobe(8, 16, edge_row, outward)
         vrx = build_virtual_array(ula_layout(2))
-        band = fov_band(lattice, fov)
+        band = fov_band(lattice)
         assert isinstance(band, UVBand) and band.v_samples.tolist() == [-0.5, -0.25, 0.0, 0.25, 0.5]
+        assert band.fov == fov and np.array_equal(band.visible, lattice.visible[2:7])
         with pytest.raises(LobeLeavesBand):
-            pslr(Pattern(band, mag[2:7].astype(complex), vrx), fov)
+            pslr(Pattern(band, mag[2:7].astype(complex), vrx))
         # The same rows as a plain grid: the lobe is cut off and its path back in counts as a sidelobe.
-        rows_only = Pattern(UVGrid(band.u_samples, band.v_samples), mag[2:7].astype(complex), vrx)
-        assert pslr(rows_only, fov) == 20.0 * math.log10(10.0 / 6.0)
-        full = pslr(Pattern(lattice, mag.astype(complex), vrx), fov)
-        assert full == reference_pslr(mag, lattice.visible(fov)) == 20.0 * math.log10(10.0 / 3.0)
+        rows_only = Pattern(UVGrid(band.u_samples, band.v_samples, fov), mag[2:7].astype(complex), vrx)
+        assert pslr(rows_only) == 20.0 * math.log10(10.0 / 6.0)
+        full = pslr(Pattern(lattice, mag.astype(complex), vrx))
+        assert full == reference_pslr(mag, lattice.visible) == 20.0 * math.log10(10.0 / 3.0)
 
     def test_band_is_the_lattice_when_the_fov_holds_every_row(self):
-        lattice = make_uv_grid(16, 8, 1, 1)
-        assert fov_band(lattice, (-1.0, 1.0, -1.0, 1.0)) is lattice
+        lattice = in_fov(make_uv_grid(16, 8, 1, 1), (-1.0, 1.0, -1.0, 1.0))
+        assert fov_band(lattice) is lattice
 
     def test_scale_invariance(self):
         vrx = build_virtual_array(ula_layout(16))
@@ -450,7 +458,9 @@ class TestUfov:
         from saf import GridSpec
 
         sv = math.sin(math.radians(ufov(2.0)))
-        assert scoring_fov(GridSpec(0.3, 2.0, 4, 4)) == pytest.approx((-1.0, 1.0, -sv, sv), abs=1e-15)
+        grid = GridSpec(0.3, 2.0, 4, 4)
+        assert scoring_fov(grid) == pytest.approx((-1.0, 1.0, -sv, sv), abs=1e-15)
+        assert scoring_grid(grid, 4, 4).fov == scoring_fov(grid)
 
 
 class TestLobeSampling:
@@ -458,7 +468,7 @@ class TestLobeSampling:
         (2.0, 0.5, 4, 4, 1), (0.5, 2.0, 4, 1, 4), (0.5, 1e9, 1, 1, 1),
     ], ids=["d_y-at-the-bound", "d_z-at-the-bound", "cut-ignores-d_z"])
     def test_accepted(self, d_y, d_z, N, q_phi, q_theta):
-        check_lobe_sampling(GridSpec(d_y, d_z, 4, N), q_phi, q_theta)
+        scoring_grid(GridSpec(d_y, d_z, 4, N), q_phi, q_theta)
 
     @pytest.mark.parametrize("d_y, d_z, q_phi, q_theta, message", [
         (2.0001, 0.5, 4, 1, "d_y = 2.0001 wavelengths exceeds q_phi / 2 = 2"),
@@ -466,16 +476,22 @@ class TestLobeSampling:
     ], ids=["d_y", "d_z"])
     def test_refused(self, d_y, d_z, q_phi, q_theta, message):
         with pytest.raises(ValueError, match=message):
-            check_lobe_sampling(GridSpec(d_y, d_z, 4, 4), q_phi, q_theta)
+            scoring_grid(GridSpec(d_y, d_z, 4, 4), q_phi, q_theta)
 
     @pytest.mark.parametrize("M, N, q_phi, q_theta", [
         (1, 1, MAX_LATTICE_NODES + 1, 1), (2 ** 33, 1, 1, 1), (2 ** 11, 2 ** 11, 2, 2),
     ], ids=["cut-one-node-over", "cut-of-a-2^33-node-line", "planar"])
-    def test_refuses_a_lattice_too_large_to_allocate(self, M, N, q_phi, q_theta):
-        # Checked from the grid alone: the lattice of the 2^33 line would take 128 GiB.
+    def test_refuses_a_lattice_too_large_to_allocate(self, M, N, q_phi, q_theta, monkeypatch):
+        # Checked from the grid alone, before any sample is made: the lattice of the 2^33 line
+        # would take 128 GiB. The samples of the lattice at the bound (128 MiB) are not made either.
+        made = []
+        monkeypatch.setattr(metrics, "make_uv_cut", lambda *args: made.append(args) or make_uv_cut(1, 1))
+        monkeypatch.setattr(metrics, "make_uv_grid", lambda *args: made.append(args) or make_uv_grid(1, 1, 1, 1))
         with pytest.raises(ValueError, match=f"nodes, more than {MAX_LATTICE_NODES}"):
-            check_lobe_sampling(GridSpec(0.5, 0.5, M, N), q_phi, q_theta)
-        check_lobe_sampling(GridSpec(0.5, 0.5, 1, 1), MAX_LATTICE_NODES, 1)
+            scoring_grid(GridSpec(0.5, 0.5, M, N), q_phi, q_theta)
+        assert made == []
+        scoring_grid(GridSpec(0.5, 0.5, 1, 1), MAX_LATTICE_NODES, 1)
+        assert made == [(1, MAX_LATTICE_NODES)]
 
     def test_refuses_every_fov_too_narrow_for_a_pslr(self):
         # A FOV holding one lattice sample along u, or in 2D along v, has no PSLR.
@@ -490,13 +506,16 @@ class TestLobeSampling:
                          *rng.uniform(0.05, 2.0 * q, 2)] for q in (q_phi, q_theta)]
             for d_y, d_z in itertools.product(*spacings):
                 grid = GridSpec(d_y, d_z, M, N)
-                visible = scoring_grid(grid, q_phi, q_theta).visible(scoring_fov(grid))
+                # The lattice scoring_grid would make, had it no rule.
+                lattice = (make_uv_cut(2 * M - 1, q_phi) if N == 1
+                           else make_uv_grid(2 * M - 1, 2 * N - 1, q_phi, q_theta))
+                visible = in_fov(lattice, scoring_fov(grid)).visible
                 short_u, short_v = visible.any(0).sum() < 2, N >= 2 and visible.any(1).sum() < 2
                 if M >= 2 and (short_u or short_v):
                     short[0] += short_u
                     short[1] += short_v
                     with pytest.raises(ValueError, match="exceeds"):
-                        check_lobe_sampling(grid, q_phi, q_theta)
+                        scoring_grid(grid, q_phi, q_theta)
         assert min(short) > 100
 
 
@@ -653,8 +672,8 @@ class TestEvaluateLayout:
             ElementSize(0.1, 0.1),
             ElementSize(0.1, 0.1),
         )
-        fov = (-1.0, 1.0, -0.5, 0.5)
         pattern, report = evaluate_layout(layout, q_phi=4, q_theta=4)
+        assert pattern.grid.fov == (-1.0, 1.0, -0.5, 0.5)
         assert None not in (report.hpbw_az, report.hpbw_el,
                             report.bw_spreading_az, report.bw_spreading_el)
-        assert report.hpbw_az == measured_hpbw(pattern, find_peak(pattern, fov), "u")
+        assert report.hpbw_az == measured_hpbw(pattern, find_peak(pattern), "u")

@@ -355,12 +355,11 @@ class TestOptimize:
         spec = planar_spec(k_max=40, seed=3)
         grid, _ = derive_grid(spec)
         lattice = scoring_grid(grid, spec.q_phi, spec.q_theta)
-        fov = scoring_fov(grid)
         real_pslr = pslr
         scored = []
 
-        def recorded(pattern, fov):
-            value = real_pslr(pattern, fov)
+        def recorded(pattern):
+            value = real_pslr(pattern)
             scored.append((pattern, value))
             return value
 
@@ -369,11 +368,12 @@ class TestOptimize:
         assert len(scored) > 30
         for pattern, value in scored:
             assert isinstance(pattern.grid, UVBand) and pattern.grid.shape[0] < lattice.shape[0]
+            assert pattern.grid.fov == lattice.fov == scoring_fov(grid)
             snapshot = synthesize_snapshot(pattern.vrx, [Target(0.0, 0.0)])
             full = beamform(pattern.vrx, snapshot, lattice)
             rows = np.searchsorted(lattice.v_samples, pattern.grid.v_samples)
             assert np.array_equal(full.values[rows], pattern.values)
-            assert value == pslr(full, fov)
+            assert value == pslr(full)
 
     def test_one_phasor_table_per_axis_and_lattice(self, monkeypatch):
         # The search's tables outlive each score: a table built per score would keep the bits too.
@@ -399,8 +399,7 @@ class TestOptimize:
         spec = planar_spec(k_max=1)
         grid, _ = derive_grid(spec)
         lattice = scoring_grid(grid, spec.q_phi, spec.q_theta)
-        fov = scoring_fov(grid)
-        band_rows = np.flatnonzero(lattice.visible(fov).any(1))
+        band_rows = np.flatnonzero(lattice.visible.any(1))
         mag = escaping_lobe(*lattice.shape, band_rows[edge], 1 if edge else -1)
         served = []
 
@@ -412,7 +411,7 @@ class TestOptimize:
         monkeypatch.setattr("saf.optimizer.beamform", constructed)
         _, trace = optimize(spec)
         assert served[:2] == [UVBand, UVGrid]
-        expected = reference_pslr(mag, lattice.visible(fov))
+        expected = reference_pslr(mag, lattice.visible)
         assert expected == 20.0 * math.log10(10.0 / 3.0)
         assert trace.initial_pslr_db == expected
 
