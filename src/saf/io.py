@@ -263,11 +263,21 @@ def load_design_config(path: Path) -> tuple[DesignSpec, Optional[list[dict]], di
 
 
 def spec_hash(raw_config: dict) -> str:
-    """Stable digest of a canonicalized (sorted keys, compact) config object."""
-    import hashlib  # here, not at the top: it loads OpenSSL, about 3.5 MB that only a digest needs
+    """Stable digest of a canonicalized (sorted keys, compact) config object.
+
+    The SHA-256 comes from the interpreter's built-in module: ``hashlib``
+    would load OpenSSL, about 3.5 MB of RSS, for this one digest.
+    """
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
 
     canonical = json.dumps(raw_config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 # ``'%.17g' % x`` in numpy arithmetic. Where 1e-4 <= |x| < 1e16, '%.17g' prints

@@ -14,7 +14,7 @@ import dataclasses
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,9 @@ from .geometry import (
     element_conflicts,
 )
 from .metrics import LobeLeavesBand, fov_band, pslr, scoring_grid
+
+if TYPE_CHECKING:
+    from ._stream import Stream
 
 # Span (dB) of the last three best-PSLR checkpoints below which the search
 # is declared converged.
@@ -86,6 +89,8 @@ class DesignSpec:
             raise ValueError("enforced positions exceed the element budget")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.q_phi < 1 or self.q_theta < 1:
             raise ValueError("oversampling factors must be >= 1")
         if self.intensity < 0:
@@ -230,7 +235,7 @@ def _shuffle_axis(
     positions: Sequence[Coord],
     enforced: frozenset[Coord],
     axis: int,
-    rng: np.random.Generator,
+    rng: Stream,
 ) -> Optional[list[Coord]]:
     """Permute inter-element spacings of one group along one axis.
 
@@ -265,7 +270,7 @@ def _shuffle_axis(
 
 def propose_candidate(
     current: ArrayLayout,
-    rng: np.random.Generator,
+    rng: Stream,
     intensity: int = 3,
     zones: Sequence[ForbiddenZone] = (),
 ) -> tuple[ArrayLayout, bool]:
@@ -466,8 +471,11 @@ def optimize(spec: DesignSpec) -> tuple[ArrayLayout, OptimizerTrace]:
     samples agree within 0.5 dB.
     Identical spec and seed give an identical trace.
     """
+    # Imported here, not at the top: only a search draws from the stream.
+    from ._stream import Stream
+
     grid, _virtual = derive_grid(spec)
-    rng = np.random.default_rng(spec.seed)
+    rng = Stream(spec.seed)
     try:
         eval_grid = scoring_grid(grid, spec.q_phi, spec.q_theta)
     except ValueError as exc:

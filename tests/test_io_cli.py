@@ -526,6 +526,13 @@ def _saf_log(tmp_path, monkeypatch):
         pytest.param(lambda t, m: _design(t, intensity="3"), 2, "config.intensity",
                      id="config-int-as-string"),
         pytest.param(lambda t, m: _design(t, seed=1.9), 2, "config.seed", id="config-seed-as-float"),
+        # A negative seed used to reach numpy's SeedSequence: "expected non-negative integer".
+        pytest.param(lambda t, m: _design(t, seed=-5), 2, "config: seed must be >= 0",
+                     id="config-seed-negative"),
+        pytest.param(lambda t, m: _design(t, seed=-5, outer_loop=[{"intensity": 2}]), 2,
+                     "config: seed must be >= 0", id="config-seed-negative-outer-loop"),
+        pytest.param(lambda t, m: _design(t) + ["--seed", "-1"], 2, "seed must be >= 0",
+                     id="design-seed-negative"),
         pytest.param(lambda t, m: _design(t, dimensionality=1), 2,
                      "config.dimensionality: expected a string, got 1", id="config-string-as-number"),
         # A 1-degree uFOV (true read as 1.0) is feasible only on a wide, finely sampled aperture.
@@ -612,12 +619,13 @@ def test_lattice_too_large_to_allocate_exits_2(argv, tmp_path):
     assert result.stderr.startswith("error: the scoring lattice") and result.stderr.count("\n") == 1
 
 
-def _loads(module: str, statements: str) -> bool:
-    """Whether a new interpreter has imported ``module`` after running ``statements``."""
-    result = subprocess.run([sys.executable, "-c", f"import sys\n{statements}\nprint({module!r} in sys.modules)"],
+def _loaded(modules, statements: str) -> set:
+    """Which of ``modules`` a new interpreter has imported after running ``statements``."""
+    result = subprocess.run([sys.executable, "-c", f"import sys\n{statements}\n"
+                             f"print(*sorted(set({tuple(modules)!r}) & set(sys.modules)))"],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    return result.stdout.splitlines()[-1] == "True"
+    return set(result.stdout.splitlines()[-1].split())
 
 
 def _main_exits_0(argv) -> str:
@@ -632,16 +640,19 @@ assert code == 0, code
 """
 
 
-@pytest.mark.parametrize("argv", [
-    lambda t: _evaluate(t, layout_to_dict(ula_layout(8))),
-    lambda t: _report(t, _META, _ITERATION, _SUMMARY),
-    lambda t: ["--version"],
-], ids=["evaluate", "report", "version"])
-def test_openssl_is_loaded_only_to_take_a_digest(argv, tmp_path):
-    # hashlib loads OpenSSL, about 3.5 MB of RSS; of all commands, only design's manifest takes a digest.
-    if _loads("hashlib", "import numpy"):
-        pytest.skip("importing numpy loads hashlib")
-    assert not _loads("hashlib", _main_exits_0(argv(tmp_path)))
+@pytest.mark.parametrize("argv, stream", [
+    (lambda t: _evaluate(t, layout_to_dict(ula_layout(8))), False),
+    (lambda t: _report(t, _META, _ITERATION, _SUMMARY), False),
+    (lambda t: ["--version"], False),
+    (lambda t: _design(t) + ["--threads", "1"], True),
+], ids=["evaluate", "report", "version", "design"])
+def test_no_command_loads_openssl_or_numpy_random(argv, stream, tmp_path):
+    # _hashlib (OpenSSL) is 3.5 MB of RSS, and numpy.random 6.3 MB with it. design seeds its search
+    # from saf._stream and takes its manifest digest with the built-in SHA-256; no other command
+    # compiles the stream. numpy 1.x loads numpy.random, and with it OpenSSL, on import.
+    heavy = {"_hashlib", "numpy.random"} - _loaded({"_hashlib", "numpy.random"}, "import numpy")
+    loaded = _loaded(heavy | {"saf._stream"}, _main_exits_0(argv(tmp_path)))
+    assert loaded == ({"saf._stream"} if stream else set())
 
 
 @pytest.mark.parametrize("argv", [
@@ -650,9 +661,9 @@ def test_openssl_is_loaded_only_to_take_a_digest(argv, tmp_path):
 ], ids=["evaluate", "design"])
 def test_numpy_ma_is_not_loaded(argv, tmp_path):
     # numpy 2.4's np.unique imports numpy.ma on its first call: 14-24 ms and 1.27 MB per command.
-    if _loads("numpy.ma", "import numpy"):
+    if _loaded({"numpy.ma"}, "import numpy"):
         pytest.skip("importing numpy loads numpy.ma")
-    assert not _loads("numpy.ma", _main_exits_0(argv(tmp_path)))
+    assert not _loaded({"numpy.ma"}, _main_exits_0(argv(tmp_path)))
 
 
 @pytest.mark.parametrize(
@@ -689,6 +700,16 @@ def test_evaluate_reproduces_the_design_metrics(tmp_path):
     designed = json.loads((tmp_path / "o" / "metrics.json").read_text())
     assert designed["pslr_db"] > 0.0
     assert json.loads((evaluated / "metrics.json").read_text()) == designed
+
+
+@pytest.mark.parametrize("builtin", [True, False], ids=["built-in", "hashlib"])
+def test_spec_hash_is_the_sha256_of_the_canonical_json(builtin, monkeypatch):
+    if not builtin:  # an interpreter built without _sha2 or _sha256
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+    raw = {**design_config(), "zones": [{"kind": "tx-excluded", "center": [4, 0]}], "név": "ü"}
+    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    assert spec_hash(raw) == hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def test_spec_hash_covers_the_command_line_overrides(tmp_path):

@@ -311,6 +311,16 @@ class TestOptimize:
         _, t2 = optimize(linear_spec(seed=42))
         assert t1 == t2
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 + 7])
+    def test_the_stream_replays_numpy_default_rng(self, seed, monkeypatch):
+        # Every draw kind: shuffles, perturbations, and an axis on a planar grid.
+        spec = planar_spec(seed=seed, k_max=60)
+        ours = optimize(spec)
+        seeded = []
+        monkeypatch.setattr("saf._stream.Stream", lambda s: seeded.append(s) or np.random.default_rng(s))
+        assert optimize(spec) == ours
+        assert seeded == [seed]
+
     def test_different_seeds_explore_differently(self):
         _, t1 = optimize(linear_spec(seed=1))
         _, t2 = optimize(linear_spec(seed=2))
@@ -476,6 +486,10 @@ class TestOuterLoop:
 
 
 class TestDesignSpecValidation:
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            linear_spec(seed=-1)
+
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             linear_spec(n_tx=0)
