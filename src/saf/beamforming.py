@@ -14,15 +14,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .geometry import GridSpec, VirtualArray
-
-if TYPE_CHECKING:
-    from .metrics import Peak
 
 _UV_EPS = 1e-12
 
@@ -83,7 +80,8 @@ class UVGrid:
     so linear arrays can be scored on their broadside azimuth cut.
 
     ``fov`` is the rectangle every peak, sidelobe and band of the lattice is
-    taken in, within the real-angle disk; None means the whole disk.
+    taken in, within the real-angle disk. It defaults to the full square
+    [-1, 1] x [-1, 1], so the region is the whole disk;
     ``metrics.scoring_grid`` sets it to the reference grid's uFOV.
 
     A grid keeps its visibility mask, built on first use. Its phasor tables
@@ -94,7 +92,7 @@ class UVGrid:
 
     u_samples: np.ndarray
     v_samples: np.ndarray
-    fov: Optional[FovRect] = None
+    fov: FovRect = (-1.0, 1.0, -1.0, 1.0)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -102,19 +100,17 @@ class UVGrid:
 
     @functools.cached_property
     def visible(self) -> np.ndarray:
-        """Read-only mask of the nodes in the real-angle disk and, unless ``fov`` is None, its rectangle."""
+        """Read-only mask of the nodes in both the real-angle disk and the ``fov`` rectangle."""
         uu = self.u_samples[None, :]
         vv = self.v_samples[:, None]
+        u_min, u_max, v_min, v_max = self.fov
         visible = uu * uu + vv * vv <= 1.0 + _UV_EPS
-        if self.fov is not None:
-            u_min, u_max, v_min, v_max = self.fov
-            visible = visible & (uu >= u_min - _UV_EPS) & (uu <= u_max + _UV_EPS)
-            visible = visible & (vv >= v_min - _UV_EPS) & (vv <= v_max + _UV_EPS)
+        visible = visible & (uu >= u_min - _UV_EPS) & (uu <= u_max + _UV_EPS)
+        visible = visible & (vv >= v_min - _UV_EPS) & (vv <= v_max + _UV_EPS)
         visible.flags.writeable = False
         return visible
 
 
-@dataclass(frozen=True, eq=False)
 class UVBand(UVGrid):
     """Consecutive rows of a larger lattice.
 
@@ -124,7 +120,7 @@ class UVBand(UVGrid):
 
 
 def make_uv_grid(M: int, N: int, q_phi: int, q_theta: int) -> UVGrid:
-    """Uniform (u, v) grid: u = 2m'/(M q_phi) - 1, v = 2n'/(N q_theta) - 1."""
+    """Uniform (u, v) grid in the full square: u = 2m'/(M q_phi) - 1, v = 2n'/(N q_theta) - 1."""
     if min(M, N, q_phi, q_theta) < 1:
         raise ValueError("grid dimensions and oversampling factors must be >= 1")
     u = 2.0 * np.arange(M * q_phi) / (M * q_phi) - 1.0
@@ -133,7 +129,7 @@ def make_uv_grid(M: int, N: int, q_phi: int, q_theta: int) -> UVGrid:
 
 
 def make_uv_cut(M: int, q_phi: int) -> UVGrid:
-    """Single-row grid along u at v = 0, for azimuth cuts of linear arrays."""
+    """Single-row grid along u at v = 0, for azimuth cuts of linear arrays, in the full square."""
     return UVGrid(make_uv_grid(M, 1, q_phi, 1).u_samples, np.zeros(1))
 
 
@@ -190,7 +186,6 @@ class Pattern:
     grid: UVGrid
     values: np.ndarray
     vrx: VirtualArray
-    peak: Optional[Peak] = field(default=None, init=False, repr=False)  # set by metrics.find_peak, searched once
 
     def __post_init__(self):
         if self.values.shape != self.grid.shape:

@@ -118,14 +118,11 @@ def fov_band(lattice: UVGrid) -> UVGrid:
 
 
 def find_peak(pattern: Pattern) -> Peak:
-    """Maximum magnitude inside the grid's FOV (the real-angle disk u^2+v^2 <= 1 when ``fov`` is None).
+    """Maximum magnitude inside the grid's FOV rectangle, within the real-angle disk.
 
-    Of equal maxima, the node nearest the FOV centre wins ((0, 0) for the
-    disk), then the smallest (v index, u index). The peak is kept on the
-    pattern, so a second call does not search again.
+    Of equal maxima, the node nearest the FOV centre wins, then the smallest
+    (v index, u index).
     """
-    if pattern.peak is not None:
-        return pattern.peak
     grid = pattern.grid
     rows = np.flatnonzero(grid.visible.any(axis=1))
     if rows.size == 0:
@@ -137,7 +134,7 @@ def find_peak(pattern: Pattern) -> Peak:
     top = int(np.argmax(mag))
     tied = mag == mag.flat[top]
     if np.count_nonzero(tied) > 1:  # counted first: listing the ties on every call costs more
-        u_min, u_max, v_min, v_max = (-1.0, 1.0, -1.0, 1.0) if grid.fov is None else grid.fov
+        u_min, u_max, v_min, v_max = grid.fov
         ties = np.flatnonzero(tied)
         tv, tu = np.divmod(ties, mag.shape[1])
         du = grid.u_samples[tu] - (u_min + u_max) / 2.0
@@ -145,15 +142,13 @@ def find_peak(pattern: Pattern) -> Peak:
         top = int(ties[np.argmin(du * du + dv * dv)])  # argmin keeps the first: the smallest index
     iv, iu = np.unravel_index(top, mag.shape)
     iv += first
-    peak = Peak(
+    return Peak(
         magnitude=float(pattern.magnitude[iv, iu]),
         u=float(grid.u_samples[iu]),
         v=float(grid.v_samples[iv]),
         iu=int(iu),
         iv=int(iv),
     )
-    object.__setattr__(pattern, "peak", peak)
-    return peak
 
 
 def mask_main_lobe(pattern: Pattern, peak: Peak) -> MainLobeMask:
@@ -185,16 +180,18 @@ def mask_main_lobe(pattern: Pattern, peak: Peak) -> MainLobeMask:
         radius *= 2
 
 
-def pslr(pattern: Pattern) -> float:
+def pslr(pattern: Pattern, peak: Optional[Peak] = None) -> float:
     """Peak-to-sidelobe ratio in dB: peak over the largest magnitude outside the main lobe.
 
-    Both maxima are restricted to the grid's FOV. Returns ``math.inf`` when nothing
-    remains outside the main lobe (single-lobe pattern). On a ``UVBand``
-    pattern whose main lobe reaches the band's first or last row, raises
-    ``LobeLeavesBand``: the lobe may continue outside the band, so only the
-    full lattice scores it exactly.
+    Both maxima are restricted to the grid's FOV. ``peak`` is the pattern's
+    ``find_peak``, searched for here when the caller does not already hold it.
+    Returns ``math.inf`` when nothing remains outside the main lobe (single-lobe
+    pattern). On a ``UVBand`` pattern whose main lobe reaches the band's first
+    or last row, raises ``LobeLeavesBand``: the lobe may continue outside the
+    band, so only the full lattice scores it exactly.
     """
-    peak = find_peak(pattern)
+    if peak is None:
+        peak = find_peak(pattern)
     visible = pattern.grid.visible
     mag = pattern.magnitude
     if peak.magnitude - mag.min(where=visible, initial=peak.magnitude) <= peak.magnitude * 1e-12:
@@ -391,8 +388,8 @@ def evaluate_layout(
     snapshot = synthesize_snapshot(vrx, BROADSIDE if targets is None else targets)
     pattern = beamform(vrx, snapshot, grid)
 
-    pslr_db = pslr(pattern)
-    peak = find_peak(pattern)  # pslr's peak, not searched again: the beamwidth cuts go through it
+    peak = find_peak(pattern)  # searched once: the PSLR and the beamwidth cuts share it
+    pslr_db = pslr(pattern, peak)
 
     m_size, n_size = (vrx.vrx_positions.max(0) - vrx.vrx_positions.min(0) + 1).tolist()
     reference = GridSpec(vrx.grid.d_y, vrx.grid.d_z, m_size, n_size)

@@ -93,8 +93,8 @@ class DesignSpec:
             raise ValueError("seed must be >= 0")
         if self.q_phi < 1 or self.q_theta < 1:
             raise ValueError("oversampling factors must be >= 1")
-        if self.intensity < 0:
-            raise ValueError("intensity must be >= 0")
+        if not 0 <= self.intensity <= 2 ** 32 - 1:  # a step is one draw from 1..intensity
+            raise ValueError("intensity must be in [0, 2**32 - 1]")
         if self.plateau_interval < 0:
             raise ValueError("plateau_interval must be >= 0")
         if self.dimensionality == "2D" and self.target_hpbw_el is None:
@@ -245,8 +245,6 @@ def _shuffle_axis(
     None when fewer than two deltas are free to move.
     """
     n = len(positions)
-    if n < 3:
-        return None
     order = sorted(range(n), key=lambda i: (positions[i][axis], positions[i][1 - axis]))
     coords = [positions[order[j]][axis] for j in range(n)]
     deltas = [coords[j + 1] - coords[j] for j in range(n - 1)]
@@ -417,12 +415,7 @@ def _place_lines(
         raise InfeasibleSpecError(
             f"{n} elements do not fit the aperture under the size constraints"
         )
-    if lines == 1:
-        cross_nodes = [0]
-    else:
-        cross_nodes = [
-            int(round(x / spacing[cross])) for x in np.linspace(0.0, extent[cross], lines)
-        ]
+    cross_nodes = [int(round(x / spacing[cross])) for x in np.linspace(0.0, extent[cross], lines)]
     counts = [n // lines + (1 if i < n % lines else 0) for i in range(lines)]
     placed: list[Coord] = []
     for cross_node, count in zip(cross_nodes, counts):

@@ -89,6 +89,13 @@ class TestUVGrid:
         with pytest.raises(ValueError):
             make_uv_cut(4, 0)
 
+    def test_a_grid_is_scored_in_the_whole_disk_by_default(self):
+        # The default FOV is the full square, which holds every node of the real-angle disk.
+        for grid in (make_uv_grid(8, 6, 3, 2), make_uv_cut(8, 3)):
+            uu, vv = grid.u_samples[None, :], grid.v_samples[:, None]
+            assert grid.fov == (-1.0, 1.0, -1.0, 1.0)
+            assert np.array_equal(grid.visible, uu * uu + vv * vv <= 1.0 + 1e-12)
+
     def test_grids_bands_and_patterns_compare_by_identity(self):
         # Their fields are arrays, so a field-wise == raised and hash() refused them.
         grid = make_uv_grid(2, 2, 2, 2)

@@ -421,6 +421,16 @@ def _design(tmp_path, **overrides):
     return ["design", "--config", config, "--out", str(tmp_path / "o")]
 
 
+def _no_search(monkeypatch, argv):
+    """``argv``, with the optimizer made to fail if a search starts."""
+    def never(*args, **kwargs):
+        raise AssertionError("the optimizer ran on an invalid config")
+
+    monkeypatch.setattr("saf.cli.outer_loop", never)
+    monkeypatch.setattr("saf.cli.optimize", never)
+    return argv
+
+
 def _pattern_csv_taken(tmp_path, argv):
     """``argv``, with ``pattern.csv`` in its output directory already a directory."""
     (tmp_path / "o" / "pattern.csv").mkdir(parents=True)
@@ -533,6 +543,12 @@ def _saf_log(tmp_path, monkeypatch):
                      "config: seed must be >= 0", id="config-seed-negative-outer-loop"),
         pytest.param(lambda t, m: _design(t) + ["--seed", "-1"], 2, "seed must be >= 0",
                      id="design-seed-negative"),
+        # An intensity the search cannot draw used to fail mid-search, naming no field:
+        # "range of 4294967296 values exceeds 2**32 - 1".
+        pytest.param(lambda t, m: _no_search(m, _design(t, intensity=2 ** 32)), 2,
+                     "config: intensity must be in [0, 2**32 - 1]", id="config-intensity-above-2**32-1"),
+        pytest.param(lambda t, m: _design(t, tx_size={"w": 2.0, "h": 0.4}, enforced_tx=[[0, 0], [1, 0]]), 2,
+                     "enforced positions violate the constraints", id="design-enforced-elements-overlap"),
         pytest.param(lambda t, m: _design(t, dimensionality=1), 2,
                      "config.dimensionality: expected a string, got 1", id="config-string-as-number"),
         # A 1-degree uFOV (true read as 1.0) is feasible only on a wide, finely sampled aperture.
@@ -669,19 +685,21 @@ def test_numpy_ma_is_not_loaded(argv, tmp_path):
 @pytest.mark.parametrize(
     "point, message",
     [({"bogus": 1}, "cannot set 'bogus'"), ({"k_max": 0}, "k_max must be >= 1"),
-     ({"intensity": "x"}, "intensity"), ({"seed": 3}, "seed"), (5, "expected an object")],
+     ({"intensity": "x"}, "intensity"), ({"seed": 3}, "seed"), (5, "expected an object"),
+     ({"intensity": 2 ** 32}, "intensity must be in [0, 2**32 - 1]")],
 )
 def test_invalid_outer_loop_point_exits_2_before_optimizing(point, message, tmp_path, monkeypatch,
                                                              capsys):
-    def never(*args, **kwargs):
-        raise AssertionError("the optimizer ran on an invalid config")
-
-    monkeypatch.setattr("saf.cli.outer_loop", never)
-    monkeypatch.setattr("saf.cli.optimize", never)
-    assert main(_design(tmp_path, outer_loop=[{"intensity": 2}, point])) == 2
+    assert main(_no_search(monkeypatch, _design(tmp_path, outer_loop=[{"intensity": 2}, point]))) == 2
     err = capsys.readouterr().err
     assert "outer_loop[1]" in err and message in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config", [{"intensity": 2 ** 32 - 1}, {"outer_loop": [{"intensity": 2 ** 32 - 1}]}],
+                         ids=["config", "outer-loop"])
+def test_the_largest_intensity_the_search_can_draw_designs(config, tmp_path):
+    assert main(_design(tmp_path, **config)) == 0
 
 
 def test_narrow_ufov_designs_when_finely_sampled(tmp_path):
@@ -825,6 +843,13 @@ class TestReportCommand:
     def test_trace_the_search_cannot_write_rejected(self, records, message, tmp_path, capsys):
         assert main(_report(tmp_path, *records)) == 2
         assert message in capsys.readouterr().err
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        self.write_trace(path, [(2.0, True), (1.5, False)])
+        trace = read_trace(path)
+        path.write_text("\n" + "\n  \n".join(path.read_text().splitlines()) + "\n\t\n")
+        assert read_trace(path) == trace
 
     def test_truncated_trace_rejected(self, tmp_path):
         path = tmp_path / "trace.jsonl"

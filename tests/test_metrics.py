@@ -51,8 +51,8 @@ from conftest import (
 
 
 def in_fov(grid, fov):
-    """``grid``'s samples, scored in ``fov``."""
-    return dataclasses.replace(grid, fov=fov)
+    """``grid``'s samples, scored in ``fov``, or ``grid`` in its own rectangle when ``fov`` is None."""
+    return grid if fov is None else dataclasses.replace(grid, fov=fov)
 
 
 def ula_pattern(n, d_y=0.5, q=8, target=Target(0.0, 0.0), fov=None):
@@ -132,9 +132,10 @@ class TestFindPeak:
             find_peak(pattern)
 
     def test_each_fov_is_searched_once(self):
+        # A search keeps nothing on the pattern: each pattern's peak is taken in its own FOV.
         disk, right = ula_pattern(16), ula_pattern(16, fov=(0.15, 1.0, -1.0, 1.0))
-        assert find_peak(right) is find_peak(right) is right.peak
-        assert find_peak(disk) is disk.peak != right.peak
+        assert find_peak(right) == find_peak(right) != find_peak(disk)
+        assert find_peak(disk).u == 0.0 and find_peak(right).u >= 0.15
 
 
 class TestMainLobeMask:

@@ -31,6 +31,7 @@ from saf import (
 )
 from saf import beamforming
 from saf.beamforming import UVBand, UVGrid
+from saf.optimizer import _free_node_near, _initial_layout, _line_positions, _shuffle_axis
 from conftest import escaping_lobe, reference_pslr
 
 
@@ -286,6 +287,32 @@ class TestProposeCandidate:
             assert (32, 0) in current.tx_positions
 
 
+class TestInitialLayout:
+    def test_without_hia_a_line_is_evenly_spaced(self):
+        assert _line_positions(4, 16.0, 0.5, use_hia=False) == pytest.approx([0.0, 16.0 / 3, 32.0 / 3, 16.0])
+        assert _line_positions(4, 16.0, 0.5, use_hia=True) == pytest.approx([0.0, 0.5, 35.0 / 6, 16.0])
+        # The TX line of linear_spec, snapped to the 0.5-wavelength grid: nodes 0, 32/3, 64/3, 32.
+        grid, _ = derive_grid(linear_spec())
+        for use_hia, nodes in ((False, [0, 11, 21, 32]), (True, [0, 1, 12, 32])):
+            assert _initial_layout(linear_spec(use_hia=use_hia), grid).tx_positions == tuple((m, 0) for m in nodes)
+
+    def test_a_two_element_line_takes_both_ends(self):
+        assert _line_positions(2, 5.0, 0.5, use_hia=True) == [0.0, 5.0]
+        with pytest.raises(InfeasibleSpecError):
+            _line_positions(2, 0.4, 0.5, use_hia=True)
+
+    def test_fewer_than_three_elements_are_not_shuffled(self):
+        # One or two elements leave fewer than two spacings to permute.
+        for positions in ([(4, 0)], [(0, 0), (5, 0)]):
+            assert _shuffle_axis(positions, frozenset(), 0, np.random.default_rng(0)) is None
+
+    def test_no_free_node_near_an_element(self):
+        # The only other node of the line lies under the 2-wavelength TX.
+        layout = ArrayLayout(GridSpec(0.5, 0.5, 3, 1), [(0, 0)], [(2, 0)],
+                             ElementSize(2.0, 0.4), ElementSize(0.4, 0.4))
+        assert _free_node_near(layout, "rx", 0, ()) is None
+
+
 def planar_spec(**overrides) -> DesignSpec:
     """linear_spec on a 33x4 planar grid with d_z = 1: the uFOV holds 15 of the 28 lattice rows."""
     base = dict(dimensionality="2D", target_ufov_el=30.0, target_hpbw_el=math.degrees(0.886 / 6.0005),
@@ -489,6 +516,13 @@ class TestDesignSpecValidation:
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             linear_spec(seed=-1)
+
+    def test_intensity_the_search_cannot_draw(self):
+        # A perturbation step is one draw from 1..intensity, of at most 2^32 - 1 values.
+        assert linear_spec(intensity=2 ** 32 - 1).intensity == 2 ** 32 - 1
+        for intensity in (2 ** 32, -1):
+            with pytest.raises(ValueError, match=r"intensity must be in \[0, 2\*\*32 - 1\]"):
+                linear_spec(intensity=intensity)
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
