@@ -84,7 +84,8 @@ class UVGrid:
     [-1, 1] x [-1, 1], so the region is the whole disk;
     ``metrics.scoring_grid`` sets it to the reference grid's uFOV.
 
-    A grid keeps its visibility mask, built on first use. Its phasor tables
+    A grid keeps its visibility mask and the span of rows that hold a visible
+    node, both built on first use. Its phasor tables
     belong to the caller that beamforms many arrays on it (see
     ``phasor_tables``), so a pattern does not keep them alive. Grids compare
     and hash by identity, since ``==`` on an array field gives no single bool.
@@ -109,6 +110,17 @@ class UVGrid:
         visible = visible & (vv >= v_min - _UV_EPS) & (vv <= v_max + _UV_EPS)
         visible.flags.writeable = False
         return visible
+
+    @functools.cached_property
+    def fov_rows(self) -> tuple[int, int]:
+        """(first, stop): the rows ``first`` to ``stop - 1`` span every visible node.
+
+        Raises ValueError when no node is visible.
+        """
+        rows = np.flatnonzero(self.visible.any(axis=1))
+        if rows.size == 0:
+            raise ValueError("FOV does not intersect the pattern grid")
+        return int(rows[0]), int(rows[-1]) + 1
 
 
 class UVBand(UVGrid):

@@ -8,7 +8,7 @@ floating-point drift while layouts are mutated during optimization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -197,15 +197,20 @@ def build_virtual_array(layout: ArrayLayout) -> VirtualArray:
     return VirtualArray(vrx_positions=vrx, generated_count=layout.n_tx * layout.n_rx, grid=virtual_grid)
 
 
-def _elements(layout: ArrayLayout):
-    """All physical elements as (group, index, center_y, center_z, size)."""
+def _elements(layout: ArrayLayout, tx: Optional[Sequence[Coord]] = None, rx: Optional[Sequence[Coord]] = None):
+    """All physical elements as (group, index, center_y, center_z, size), TX first.
+
+    ``tx`` and ``rx``, when given, stand in for the layout's positions.
+    """
     g = layout.grid
-    for group, positions, size in (
-        ("tx", layout.tx_positions, layout.tx_size),
-        ("rx", layout.rx_positions, layout.rx_size),
-    ):
-        for i, (m, n) in enumerate(positions):
-            yield group, i, m * g.d_y, n * g.d_z, size
+    return [
+        (group, i, m * g.d_y, n * g.d_z, size)
+        for group, positions, size in (
+            ("tx", layout.tx_positions if tx is None else tx, layout.tx_size),
+            ("rx", layout.rx_positions if rx is None else rx, layout.rx_size),
+        )
+        for i, (m, n) in enumerate(positions)
+    ]
 
 
 def _overlaps(a, b) -> bool:
@@ -237,7 +242,7 @@ def _in_zone(element, zone: ForbiddenZone, grid: GridSpec) -> bool:
 
 def check_overlap(layout: ArrayLayout) -> list[tuple[tuple[str, int], tuple[str, int]]]:
     """Return every pair of elements whose rectangles overlap with positive area."""
-    elems = list(_elements(layout))
+    elems = _elements(layout)
     violations = []
     for a, elem in enumerate(elems):
         for other in elems[a + 1:]:
@@ -261,24 +266,33 @@ def check_forbidden_zones(
 
 
 def element_conflicts(
-    layout: ArrayLayout, group: str, index: int, pos: Coord, zones: Sequence[ForbiddenZone]
+    layout: ArrayLayout, group: str, moves: Mapping[int, Coord], zones: Sequence[ForbiddenZone]
 ) -> bool:
-    """Whether element ``index`` of ``group``, placed at grid node ``pos``, breaks a constraint.
+    """Whether placing elements of ``group`` at new grid nodes breaks a constraint.
 
-    The one element is checked against every other element and every zone by
-    the rules of ``check_overlap`` and ``check_forbidden_zones``, so a layout
-    passes both exactly when each of its elements passes this check in place.
+    ``moves`` maps element indices of ``group`` to their nodes. Each of those
+    elements is checked at its node against every other element, the others
+    of ``moves`` at theirs, and every zone, by the rules of ``check_overlap``
+    and ``check_forbidden_zones``. So a layout passes both exactly when each
+    of its elements passes this check in place, and a layout that passes both
+    still does after a move exactly when the moved elements pass. No layout
+    is built, so a node off the grid is checked like any other.
     """
-    g = layout.grid
-    size = layout.tx_size if group == "tx" else layout.rx_size
-    elem = (group, index, pos[0] * g.d_y, pos[1] * g.d_z, size)
-    if any(_in_zone(elem, zone, g) for zone in zones):
-        return True
-    return any(
-        _overlaps(elem, other)
-        for other in _elements(layout)
-        if other[0] != group or other[1] != index
-    )
+    tx, rx = list(layout.tx_positions), list(layout.rx_positions)
+    placed = tx if group == "tx" else rx
+    for i, pos in moves.items():
+        placed[i] = pos
+    elems = _elements(layout, tx, rx)
+    offset = 0 if group == "tx" else len(tx)
+    for i in moves:
+        elem = elems[offset + i]
+        for zone in zones:
+            if _in_zone(elem, zone, layout.grid):
+                return True
+        for other in elems:
+            if other is not elem and _overlaps(elem, other):
+                return True
+    return False
 
 
 def thinning_ratio(vrx: VirtualArray, reference: GridSpec) -> float:

@@ -276,13 +276,14 @@ def propose_candidate(
 
     Picks, with equal probability, either (a) a permutation of one group's
     non-enforced inter-element spacings along a random axis, or (b) a move of
-    one non-enforced element by 1..intensity grid steps on a random axis. The
-    result is re-validated; after 32 failed attempts the unchanged layout is
-    returned with a stagnation flag.
+    one non-enforced element by 1..intensity grid steps on a random axis.
+    After 32 failed attempts the unchanged layout is returned with a
+    stagnation flag.
 
     ``current`` must satisfy the overlap and zone constraints, as the
-    optimizer's best layout does: only the elements the move changed are
-    checked, each against the candidate's other elements and every zone.
+    optimizer's best layout does: an attempt first checks only the elements
+    its move changed, each against the candidate's other elements and every
+    zone, and only an attempt that passes is built into a validated layout.
     """
     two_d = current.grid.N > 1
     for _ in range(32):
@@ -305,18 +306,13 @@ def propose_candidate(
             pos[axis] += step
             moved = list(positions)
             moved[i] = tuple(pos)
-        try:
-            candidate = dataclasses.replace(
-                current, **{f"{group}_positions": tuple(moved)}
-            )
-        except LayoutError:
+        moves = {j: node for j, node in enumerate(moved) if node != positions[j]}
+        if element_conflicts(current, group, moves, zones):
             continue
-        if not any(
-            element_conflicts(candidate, group, j, node, zones)
-            for j, node in enumerate(moved)
-            if node != positions[j]
-        ):
-            return candidate, False
+        try:
+            return dataclasses.replace(current, **{f"{group}_positions": tuple(moved)}), False
+        except LayoutError:  # a node off the grid
+            continue
     return current, True
 
 
@@ -358,7 +354,7 @@ def _free_node_near(
                 cand = (home[0] + dm, home[1] + dn)
                 if not grid.contains(cand) or cand in occupied:
                     continue
-                if not element_conflicts(layout, group, index, cand, zones):
+                if not element_conflicts(layout, group, {index: cand}, zones):
                     return cand
     return None
 

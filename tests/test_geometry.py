@@ -258,7 +258,7 @@ class TestConflictPredicate:
             (group, i)
             for group, positions in (("tx", layout.tx_positions), ("rx", layout.rx_positions))
             for i, pos in enumerate(positions)
-            if element_conflicts(layout, group, i, pos, zones)
+            if element_conflicts(layout, group, {i: pos}, zones)
         }
         assert in_conflict == flagged
         valid = not check_overlap(layout) and not check_forbidden_zones(layout, zones)
@@ -267,11 +267,11 @@ class TestConflictPredicate:
     def test_moved_element_is_checked_at_its_new_node(self):
         grid = GridSpec(0.5, 0.5, 64, 1)
         layout = ArrayLayout(grid, [(0, 0), (4, 0)], [(60, 0)], ElementSize(2.0, 1.0), small_size())
-        assert not element_conflicts(layout, "tx", 1, (4, 0), [])
-        assert element_conflicts(layout, "tx", 1, (3, 0), [])  # 1.5 wavelengths from tx 0
+        assert not element_conflicts(layout, "tx", {1: (4, 0)}, [])
+        assert element_conflicts(layout, "tx", {1: (3, 0)}, [])  # 1.5 wavelengths from tx 0
         zone = ForbiddenZone(1.0, 1.0, center=(10, 0), kind="tx-excluded")
-        assert element_conflicts(layout, "tx", 1, (10, 0), [zone])
-        assert not element_conflicts(layout, "tx", 1, (12, 0), [zone])  # on the boundary
+        assert element_conflicts(layout, "tx", {1: (10, 0)}, [zone])
+        assert not element_conflicts(layout, "tx", {1: (12, 0)}, [zone])  # on the boundary
 
 
 class TestThinningRatio:

@@ -128,8 +128,10 @@ class TestFindPeak:
 
     def test_empty_fov_errors(self):
         pattern = ula_pattern(8, fov=(2.0, 3.0, -1.0, 1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="FOV does not intersect"):
             find_peak(pattern)
+        with pytest.raises(ValueError, match="FOV does not intersect"):
+            fov_band(pattern.grid)
 
     def test_each_fov_is_searched_once(self):
         # A search keeps nothing on the pattern: each pattern's peak is taken in its own FOV.
@@ -276,6 +278,37 @@ class TestPslr:
     def test_degenerate_pattern_rejected(self, values, fov):
         with pytest.raises(ValueError, match="degenerate"):
             pslr(synthetic_cut(values, fov))
+
+    # A FOV of rows 2 to 6 at a floor of 1 - spread, with the peak 1, and rows outside it at 5,
+    # above the peak. The sidelobe, if any, is one node a unit in the last place above the
+    # floor, which the lobe's descent cannot climb; without it the lobe is the whole FOV.
+    @pytest.mark.parametrize("sidelobe", [True, False], ids=["sidelobe", "no-sidelobe"])
+    @pytest.mark.parametrize("spread", [0.5e-12, 1e-12, 2e-12])
+    def test_near_flat_fov_is_refused_exactly_when_the_reference_refuses_it(self, spread, sidelobe):
+        lattice = in_fov(make_uv_grid(16, 8, 1, 1), (-1.0, 1.0, -0.5, 0.5))
+        mag = np.full((8, 16), 5.0)
+        floor = 1.0 - spread
+        mag[2:7] = floor
+        mag[4, 4] = 1.0
+        if sidelobe:
+            mag[4, 12] = np.nextafter(floor, 2.0)
+        pattern = Pattern(lattice, mag.astype(complex), build_virtual_array(ula_layout(2)))
+        try:
+            expected = reference_pslr(mag, lattice.visible)
+        except ValueError:
+            assert spread <= 1e-12
+            with pytest.raises(ValueError, match="degenerate"):
+                pslr(pattern)
+        else:
+            assert spread >= 1e-12
+            assert pslr(pattern) == expected
+
+    def test_a_flat_band_is_degenerate_before_its_lobe_leaves_the_band(self):
+        band = fov_band(in_fov(make_uv_grid(16, 8, 1, 1), (-1.0, 1.0, -0.5, 0.5)))
+        pattern = Pattern(band, np.full(band.shape, 2.0, dtype=complex), build_virtual_array(ula_layout(2)))
+        assert mask_main_lobe(pattern, find_peak(pattern)).mask[[0, -1]].all()
+        with pytest.raises(ValueError, match="degenerate"):
+            pslr(pattern)
 
     # Few distinct levels: ties, plateaus, flat FOVs and empty residuals are common.
     @settings(max_examples=300, deadline=None)

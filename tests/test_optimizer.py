@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from saf import (
     synthesize_snapshot,
 )
 from saf import beamforming
+from saf._stream import Stream
 from saf.beamforming import UVBand, UVGrid
 from saf.optimizer import _free_node_near, _initial_layout, _line_positions, _shuffle_axis
 from conftest import escaping_lobe, reference_pslr
@@ -275,6 +277,25 @@ class TestProposeCandidate:
         for accepted in adopted:
             assert check_forbidden_zones(accepted, zones) == []
             assert check_overlap(accepted) == []
+
+    def test_known_answer_chain_on_the_readme_config(self):
+        # 300 proposals, each from the one before, on the README's 12 x 16 design config
+        # with its zone and enforced TX. The digest pins every draw and every accept or
+        # reject; it holds Python ints and bools only, so it does not depend on numpy.
+        spec = DesignSpec(
+            dimensionality="2D", n_tx=12, n_rx=16,
+            target_ufov_az=90.0, target_hpbw_az=0.793, target_ufov_el=30.0, target_hpbw_el=0.725,
+            tx_size=ElementSize(2.0, 5.0), rx_size=ElementSize(2.0, 5.0),
+            zones=(ForbiddenZone(7.5, 15.0, center=(30, 30), kind="both-excluded"),),
+            enforced_tx=((0, 0),), intensity=3,
+        )
+        grid, _ = derive_grid(spec)
+        current, rng = _initial_layout(spec, grid), Stream(1)
+        digest = hashlib.sha256()
+        for _ in range(300):
+            current, stagnated = propose_candidate(current, rng, spec.intensity, spec.zones)
+            digest.update(repr((current.tx_positions, current.rx_positions, stagnated)).encode())
+        assert digest.hexdigest() == "51907968fb2447436bcffa765c5a69f671226b1d6fff90789cf936a3fcef7bb0"
 
     def test_enforced_positions_never_move(self):
         layout = self.base_layout()
