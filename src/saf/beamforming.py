@@ -15,7 +15,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -50,8 +50,18 @@ class _PhasorTable:
         self._rows = np.empty((0, samples.size), dtype=complex)
         self._used = 0
 
+    @property
+    def width(self) -> int:
+        """Phasors per row: the axis's sample count."""
+        return self._samples.size
+
     def gather(self, k: np.ndarray) -> np.ndarray:
         """Rows for the grid indices ``k``, in order, as a new (k.size, samples) array."""
+        self.fill(k)
+        return self._rows[self._slot[k]]
+
+    def fill(self, k: np.ndarray) -> None:
+        """Build the rows of the grid indices ``k`` that the table does not hold yet."""
         absent = k[self._slot[k] < 0]
         if absent.size:
             # The distinct absent indices, sorted. Not np.unique: numpy 2.4 imports
@@ -68,7 +78,6 @@ class _PhasorTable:
             self._rows[self._used:used] = np.exp(-2j * np.pi * np.outer(new * self._d, self._samples))
             self._slot[new] = np.arange(self._used, used)
             self._used = used
-        return self._rows[self._slot[k]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,22 +200,72 @@ class Target:
 BROADSIDE = (Target(0.0, 0.0, 1.0 + 0.0j),)
 
 
+# Bytes of complex values a pattern forms from its factors at a time.
+_BLOCK_BYTES = 2 ** 18
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Consecutive row slices that cover ``n_rows`` rows of ``n_cols`` complex values, about ``_BLOCK_BYTES`` each.
+
+    No block has one row unless the whole has one. numpy multiplies a one-row
+    block by a matrix-vector product, which rounds its sums otherwise than the
+    matrix product does; a block of two or more rows gets the bits of the same
+    rows of the whole product.
+    """
+    size = max(2, _BLOCK_BYTES // (16 * n_cols))
+    starts = list(range(0, n_rows, size))
+    if len(starts) > 1 and n_rows - starts[-1] == 1:
+        starts.pop()  # the block before takes the one row left
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
+
+
 @dataclass(frozen=True, eq=False)
 class Pattern:
-    """Received-signal pattern over a UVGrid; values indexed [v, u]. Compares by identity."""
+    """Received-signal pattern over a UVGrid, indexed [v, u], held as two factors. Compares by identity.
+
+    The values are the product ``v_phasors @ u_sums``: from ``beamform``, the
+    (n_v, R) v phasors of the R VRX rows and the (R, n_u) u sums of those
+    rows. The pattern keeps the factors, not the (n_v, n_u) lattice.
+    ``magnitude`` and ``row_blocks`` form the product a block of rows at a
+    time; ``values`` forms it whole, and only when a caller asks for it.
+
+    ``Pattern(grid, values, vrx)``, without ``v_phasors``, holds explicit
+    values as they are: the v factor is then the identity, and ``u_sums`` are
+    the values with their bits (a product by the identity would turn a -0.0
+    into +0.0).
+    """
 
     grid: UVGrid
-    values: np.ndarray
+    u_sums: np.ndarray
     vrx: VirtualArray
+    v_phasors: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.values.shape != self.grid.shape:
-            raise ValueError(f"pattern shape {self.values.shape} does not match grid {self.grid.shape}")
+        shape = self.u_sums.shape
+        if self.v_phasors is not None:
+            if self.v_phasors.shape[1:] != shape[:1]:
+                raise ValueError(f"pattern factors {self.v_phasors.shape} and {shape} do not multiply")
+            shape = (self.v_phasors.shape[0], *shape[1:])
+        if shape != self.grid.shape:
+            raise ValueError(f"pattern shape {shape} does not match grid {self.grid.shape}")
+
+    def row_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """``(rows, values[rows])`` for consecutive blocks of rows, each formed when it is reached."""
+        for rows in _row_blocks(*self.grid.shape):
+            yield rows, self.u_sums[rows] if self.v_phasors is None else self.v_phasors[rows] @ self.u_sums
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The whole complex lattice, formed on first use and then held."""
+        return self.u_sums if self.v_phasors is None else self.v_phasors @ self.u_sums
 
     @functools.cached_property
     def magnitude(self) -> np.ndarray:
-        """|values|, computed once per pattern: ``values`` must not be modified in place."""
-        return np.abs(self.values)
+        """|values|, computed once per pattern, a block of rows at a time: the factors must not be modified in place."""
+        magnitude = np.empty(self.grid.shape)
+        for rows, values in self.row_blocks():
+            np.abs(values, out=magnitude[rows])
+        return magnitude
 
 
 def steering_vector(vrx: VirtualArray, u: float, v: float) -> np.ndarray:
@@ -223,16 +282,27 @@ def synthesize_snapshot(vrx: VirtualArray, targets: Sequence[Target]) -> np.ndar
     return snapshot
 
 
-def _row_sums(snapshot: np.ndarray, u_rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """sum_p snapshot[p] u_rows[p] over each run of rows that begins at ``starts``.
+# VRX rows whose u phasor rows ``beamform`` gathers at a time.
+_GATHER_RUNS = 8
+
+
+def _row_sums(snapshot: np.ndarray, u_table: _PhasorTable, m: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """sum_p snapshot[p] U[m[p]] over each run of VRX that begins at ``starts``, U the rows of ``u_table``.
 
     One vector-matrix product per run: faster than weighting every row and
-    then calling ``np.add.reduceat``, which reduces column by column.
+    then calling ``np.add.reduceat``, which reduces column by column. The
+    table builds the rows of all the runs first, as one gather would; they
+    are then gathered ``_GATHER_RUNS`` runs at a time, so the P rows are
+    never all copied out at once.
     """
-    out = np.empty((starts.size, u_rows.shape[1]), dtype=complex)
-    bounds = [*starts.tolist(), len(u_rows)]
-    for r, (start, end) in enumerate(zip(bounds, bounds[1:])):
-        np.matmul(snapshot[start:end], u_rows[start:end], out=out[r])
+    u_table.fill(m)
+    out = np.empty((starts.size, u_table.width), dtype=complex)
+    bounds = [*starts.tolist(), len(m)]
+    for first in range(0, starts.size, _GATHER_RUNS):
+        runs = bounds[first:first + _GATHER_RUNS + 1]
+        u_rows = u_table.gather(m[runs[0]:runs[-1]])
+        for r, (start, end) in enumerate(zip(runs, runs[1:]), first):
+            np.matmul(snapshot[start:end], u_rows[start - runs[0]:end - runs[0]], out=out[r])
     return out
 
 
@@ -254,8 +324,9 @@ def beamform(
     the separable structure of grid-aligned VRX positions. The VRX are sorted
     by (n, m), so each VRX row is one run: its snapshot values times its u
     phasor rows give the row's sum over u (one vector-matrix product per row).
-    The v phasor rows of the R distinct rows then combine with those R sums in
-    one (n_v, R) x (R, n_u) complex matrix product.
+    The v phasor rows of the R distinct rows and those R sums are the two
+    factors the pattern keeps. Their (n_v, R) x (R, n_u) complex matrix product
+    is the lattice, which the pattern forms a block of rows at a time.
 
     ``tables``, from ``phasor_tables(grid, vrx.grid)``, keep the phasor rows
     for the next array a caller beamforms on the same grid. Without them the
@@ -269,5 +340,5 @@ def beamform(
     u_table, v_table = phasor_tables(grid, vrx.grid) if tables is None else tables
     m, n = vrx.vrx_positions.T
     starts = np.flatnonzero(np.diff(n, prepend=-1))
-    values = v_table.gather(n[starts]).T @ _row_sums(snapshot, u_table.gather(m), starts)
-    return Pattern(grid=grid, values=values, vrx=vrx)
+    v_phasors = v_table.gather(n[starts]).T
+    return Pattern(grid=grid, u_sums=_row_sums(snapshot, u_table, m, starts), vrx=vrx, v_phasors=v_phasors)

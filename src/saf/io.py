@@ -412,7 +412,9 @@ def write_pattern_csv(pattern: Pattern, path: Path) -> None:
 
     mag_db is relative to the pattern maximum and floored at -120 dB, also
     where the ratio to the maximum underflows to 0. The file is written one v
-    row at a time, so the writer's memory does not grow with the lattice.
+    row at a time, and the complex values come from ``Pattern.row_blocks`` a
+    block of rows at a time, so the writer's memory does not grow with the
+    lattice: besides the pattern's magnitude, the whole lattice is never held.
 
     Every number is ``'%.17g' % x``, formatted by ``_g17_fields`` in numpy.
     A row is a (n_u, 5, 33) byte buffer: five 32-byte fields (u, v, re, im,
@@ -431,9 +433,11 @@ def write_pattern_csv(pattern: Pattern, path: Path) -> None:
     line = np.empty((n_u, 5, _FIELD + 1), np.uint8)
     line[:, :, _FIELD] = np.frombuffer(b",,,,\n", np.uint8)
     line[:, 0, :_FIELD] = _g17_fields(pattern.grid.u_samples)
+    rows = ((v_text, values, mags) for block, values_block in pattern.row_blocks()
+            for v_text, values, mags in zip(v_texts[block], values_block, mag[block]))
     with Path(path).open("wb") as f:
         f.write(b"u,v,re,im,mag_db\n")
-        for v_text, values, mags in zip(v_texts, pattern.values, mag):
+        for v_text, values, mags in rows:
             ratios = np.fmax(mags / peak, _TINY) if peak > 0 else np.full(mags.size, _TINY)
             db = np.maximum(20.0 * np.fromiter(map(math.log10, ratios.tolist()), float), DB_FLOOR)
             fields = _g17_fields(np.concatenate((values.real, values.imag, db)))

@@ -56,11 +56,11 @@ _EPS = 1e-12
 # not the array, would set the memory a score needs.
 MAX_LATTICE_NODES = 2 ** 24
 
-# Half-width, in nodes, of the first window the main-lobe walk runs in. Of 200
-# seeded proposals on the README 12x16 config, the main lobe fit it on 53 at
-# q = 4 and needed one doubling on the rest; at q = 8 it needed one doubling
-# on 56 and two on 144.
-_LOBE_WINDOW = 8
+# Half-width of the first window the main-lobe walk runs in, in nodes per unit
+# of q_phi. Of 200 seeded proposals on the README 12x16 config, the widest
+# main lobe reached 13 nodes from its peak at q = 4 and 29 at q = 8, so every
+# one fit the first window; a fixed 8 nodes held 53 at q = 4 and none at q = 8.
+_LOBE_WINDOW_PER_Q = 4
 
 
 class LobeLeavesBand(Exception):
@@ -159,13 +159,15 @@ def find_peak(pattern: Pattern) -> Peak:
 def mask_main_lobe(pattern: Pattern, peak: Peak) -> MainLobeMask:
     """Monotone-descent closure of the main lobe from the peak node, by a depth-first walk.
 
-    The walk runs in a window of ``_LOBE_WINDOW`` nodes around the peak and
-    doubles the window while the lobe reaches one of its edges that is not an
-    edge of the grid (see the module docstring for why that is exact).
+    The walk runs in a window of ``_LOBE_WINDOW_PER_Q`` times q_phi nodes
+    around the peak, with q_phi read off the lattice as n_u over the virtual
+    grid's M. It doubles the window while the lobe reaches one of its edges
+    that is not an edge of the grid (see the module docstring for why that is
+    exact).
     """
     mag = pattern.magnitude
     n_v, n_u = mag.shape
-    radius = _LOBE_WINDOW
+    radius = _LOBE_WINDOW_PER_Q * max(1, n_u // pattern.vrx.grid.M)
     while True:
         v0, v1 = max(peak.iv - radius, 0), min(peak.iv + radius + 1, n_v)
         u0, u1 = max(peak.iu - radius, 0), min(peak.iu + radius + 1, n_u)

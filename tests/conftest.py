@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from saf import ArrayLayout, ElementSize, GridSpec, check_overlap
-from saf.beamforming import _row_sums
+from saf import ArrayLayout, ElementSize, ForbiddenZone, GridSpec, check_overlap
+from saf.optimizer import DesignSpec
 
 # `--hypothesis-profile=ci` replays the same examples on every run; local runs stay random.
 settings.register_profile("ci", derandomize=True)
@@ -54,6 +54,17 @@ def layout_12x16(seed: int) -> ArrayLayout:
     return ArrayLayout(grid, tx, rx, size, size)
 
 
+def readme_design_spec() -> DesignSpec:
+    """The README's 12 TX x 16 RX design config, with its zone and enforced TX, at intensity 3."""
+    return DesignSpec(
+        dimensionality="2D", n_tx=12, n_rx=16,
+        target_ufov_az=90.0, target_hpbw_az=0.793, target_ufov_el=30.0, target_hpbw_el=0.725,
+        tx_size=ElementSize(2.0, 5.0), rx_size=ElementSize(2.0, 5.0),
+        zones=(ForbiddenZone(7.5, 15.0, center=(30, 30), kind="both-excluded"),),
+        enforced_tx=((0, 0),), intensity=3,
+    )
+
+
 def direct_pattern(coords_wl, snapshot, u_samples, v_samples):
     """Brute-force double-loop pattern: per-node direct summation oracle."""
     coords_wl = np.asarray(coords_wl, dtype=float)
@@ -69,14 +80,19 @@ def direct_pattern(coords_wl, snapshot, u_samples, v_samples):
 def per_call_pattern(vrx, snapshot, grid):
     """Separable beamforming with every phasor evaluated on the call: a bit-for-bit oracle.
 
-    The same float products, VRX row sums and matrix product as ``beamform``,
-    without its phasor tables.
+    The same float products, per-run VRX row sums and whole matrix product as
+    ``beamform``, without its phasor tables or its blocks.
     """
     coords = vrx.positions_wavelengths()
+    snapshot = np.asarray(snapshot, dtype=complex)
     starts = np.flatnonzero(np.diff(coords[:, 1], prepend=-np.inf))
     u_phasors = np.exp(-2j * np.pi * np.outer(coords[:, 0], grid.u_samples))
     v_phasors = np.exp(-2j * np.pi * np.outer(coords[starts, 1], grid.v_samples))
-    return v_phasors.T @ _row_sums(np.asarray(snapshot, dtype=complex), u_phasors, starts)
+    sums = np.empty((starts.size, grid.u_samples.size), dtype=complex)
+    bounds = [*starts.tolist(), len(coords)]
+    for r, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        np.matmul(snapshot[start:end], u_phasors[start:end], out=sums[r])
+    return v_phasors.T @ sums
 
 
 def reference_main_lobe(mag, iv, iu):

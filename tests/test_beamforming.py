@@ -18,9 +18,10 @@ from saf import (
     synthesize_snapshot,
     uv_to_angles,
 )
-from saf.beamforming import UVBand, _PhasorTable, phasor_tables
-from conftest import (dirichlet_magnitude, direct_pattern, linear_layout, per_call_pattern, small_size,
-                      ula_layout)
+from saf.beamforming import _BLOCK_BYTES, UVBand, _PhasorTable, _row_blocks, phasor_tables
+from saf.metrics import fov_band, scoring_grid
+from conftest import (dirichlet_magnitude, direct_pattern, layout_12x16, linear_layout, per_call_pattern,
+                      small_size, ula_layout)
 
 
 class TestAngleConversion:
@@ -284,3 +285,49 @@ class TestBeamform:
         vrx = build_virtual_array(ula_layout(4))
         with pytest.raises(ValueError):
             beamform(vrx, np.ones(3), make_uv_cut(4, 1))
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("q", [4, 8])
+    def test_blocks_keep_the_bits_of_the_whole_product(self, q):
+        # The README's 12x16 layout with a three-target scene, on the whole lattice and
+        # on its FOV band. A pattern forms its values a block of rows at a time; each
+        # block, and each 2- and 3-row block (the smallest a wide lattice gets), must
+        # have the bits of the same rows of the whole (n_v, R) x (R, n_u) product.
+        layout = layout_12x16(0)
+        vrx = build_virtual_array(layout)
+        snapshot = synthesize_snapshot(vrx, [Target(0.0, 0.0), Target(0.3, -0.2, 0.5 - 0.25j),
+                                             Target(-0.6, 0.1, 1e-4)])
+        lattice = scoring_grid(layout.grid, q, q)
+        for grid in (lattice, fov_band(lattice)):
+            pattern = beamform(vrx, snapshot, grid)
+            whole = pattern.v_phasors @ pattern.u_sums
+            blocks = list(pattern.row_blocks())
+            assert len(blocks) > 1
+            assert np.concatenate([values for _, values in blocks]).tobytes() == whole.tobytes()
+            assert pattern.magnitude.tobytes() == np.abs(whole).tobytes()
+            assert pattern.values.tobytes() == whole.tobytes()
+            for size in (2, 3):
+                for first in range(0, grid.shape[0] - 1, size):
+                    rows = slice(first, min(first + size, grid.shape[0]))
+                    if rows.stop - rows.start > 1:
+                        assert (pattern.v_phasors[rows] @ pattern.u_sums).tobytes() == whole[rows].tobytes()
+
+    def test_no_block_has_one_row_unless_the_lattice_has_one(self):
+        # numpy multiplies a one-row block by a matrix-vector product, whose sums
+        # round otherwise than the matrix product's.
+        for n_cols in (1, 516, 1032, 4096, 2 ** 14, 2 ** 16):
+            for n_rows in range(1, 300):
+                blocks = _row_blocks(n_rows, n_cols)
+                sizes = [rows.stop - rows.start for rows in blocks]
+                assert [rows.start for rows in blocks] == [0, *np.cumsum(sizes[:-1]).tolist()]
+                assert sum(sizes) == n_rows
+                assert min(sizes) > 1 or n_rows == 1
+                assert max(sizes) <= 3 or max(sizes) * n_cols * 16 <= 2 * _BLOCK_BYTES
+
+    def test_a_pattern_of_explicit_values_holds_them_as_they_are(self):
+        # A product by an identity v factor would turn the -0.0 imaginary part into +0.0.
+        values = np.array([[complex(1.0, -0.0), 2.0 + 1.0j]])
+        pattern = Pattern(make_uv_cut(2, 1), values, build_virtual_array(ula_layout(2)))
+        assert pattern.values is values
+        assert [block.tobytes() for _, block in pattern.row_blocks()] == [values.tobytes()]

@@ -265,6 +265,23 @@ class TestPatternCsv:
         assert (tmp_path / "p.csv").stat().st_size > 14e6
         assert peak < 4e6
 
+    def test_a_q8_evaluation_and_its_csv_never_hold_the_complex_lattice(self, tmp_path):
+        # The README's 12x16 layout at q=8: a 568x1032 lattice, whose complex values
+        # are 9.4 MB and its magnitude 4.7 MB. Holding the pattern as its two factors,
+        # evaluate_layout and write_pattern_csv peaked at 8.1 MB; forming the lattice
+        # whole, at 15.8 MB. The bound is 1.9 MB (23%) above the measured peak.
+        # A small call first imports what the first call of a process imports.
+        write_pattern_csv(evaluate_layout(ula_layout(8), q_phi=4, q_theta=4)[0], tmp_path / "small.csv")
+        tracemalloc.start()
+        try:
+            pattern, _ = evaluate_layout(layout_12x16(0), q_phi=8, q_theta=8)
+            write_pattern_csv(pattern, tmp_path / "p.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pattern.grid.shape == (568, 1032)
+        assert peak < 10e6
+
 
 class TestDesignCommand:
     def test_happy_path_writes_five_files(self, tmp_path):

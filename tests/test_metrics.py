@@ -37,13 +37,16 @@ from saf import (
     virtual_coverage_area,
 )
 from saf import geometry, metrics
-from saf.beamforming import BROADSIDE, UVBand, UVGrid
-from saf.metrics import _LOBE_WINDOW, MAX_LATTICE_NODES, LobeLeavesBand, fov_band, scoring_grid
+from saf._stream import Stream
+from saf.beamforming import BROADSIDE, UVBand, UVGrid, phasor_tables
+from saf.metrics import _LOBE_WINDOW_PER_Q, MAX_LATTICE_NODES, LobeLeavesBand, fov_band, scoring_grid
+from saf.optimizer import _initial_layout, derive_grid, propose_candidate
 from conftest import (
     direct_pattern,
     dirichlet_magnitude,
     escaping_lobe,
     layout_12x16,
+    readme_design_spec,
     reference_main_lobe,
     reference_pslr,
     ula_layout,
@@ -66,7 +69,7 @@ def synthetic_cut(values, fov=None):
     values = np.asarray(values, dtype=complex).reshape(1, -1)
     grid = in_fov(make_uv_cut(values.shape[1], 1), fov)
     vrx = build_virtual_array(ula_layout(2))
-    return Pattern(grid=grid, values=values, vrx=vrx)
+    return Pattern(grid, values, vrx)
 
 
 @st.composite
@@ -188,14 +191,49 @@ class TestMainLobeMask:
     @given(wide_lobes())
     def test_matches_breadth_first_reference_past_the_first_window(self, mag):
         iv, iu = first_peak(mag)
-        pattern = pattern_of(mag)
+        n_v, n_u = mag.shape
+        # A virtual grid of n_u or n_u - 1 columns: the lattice is its q = 1 lattice.
+        vrx = build_virtual_array(ula_layout((n_u + 1) // 2))
+        pattern = Pattern(make_uv_grid(n_u, n_v, 1, 1), mag.astype(complex), vrx)
         peak = Peak(float(mag[iv, iu]), float(pattern.grid.u_samples[iu]),
                     float(pattern.grid.v_samples[iv]), int(iu), int(iv))
         expected = reference_main_lobe(mag, iv, iu)
         # The lobe holds a node outside the first window, so the window had to grow.
         lobe_v, lobe_u = np.nonzero(expected)
-        assert np.maximum(abs(lobe_v - iv), abs(lobe_u - iu)).max() > _LOBE_WINDOW
+        assert n_u // vrx.grid.M == 1
+        assert np.maximum(abs(lobe_v - iv), abs(lobe_u - iu)).max() > _LOBE_WINDOW_PER_Q
         assert (mask_main_lobe(pattern, peak).mask == expected).all()
+
+    @pytest.mark.parametrize("q", [4, 8])
+    def test_the_first_window_holds_every_readme_lobe(self, q, monkeypatch):
+        # 200 chained proposals on the README's design config, scored on the FOV band
+        # as the optimizer scores them. Each window the walk tries is one NaN-framed
+        # np.full buffer. A first window of 8 nodes at every q held 53 of these lobes
+        # at q = 4 and none at q = 8, and walked 1.7 and 2.7 windows per lobe.
+        spec = readme_design_spec()
+        grid, _ = derive_grid(spec)
+        band = fov_band(scoring_grid(grid, q, q))
+        current, stream, tables = _initial_layout(spec, grid), Stream(5), None
+        scored = []
+        for _ in range(200):
+            current, _ = propose_candidate(current, stream, spec.intensity, spec.zones)
+            vrx = build_virtual_array(current)
+            tables = tables or phasor_tables(band, vrx.grid)
+            pattern = beamform(vrx, synthesize_snapshot(vrx, BROADSIDE), band, tables)
+            scored.append((pattern, find_peak(pattern)))
+        windows = []
+        full = np.full
+
+        def counted(shape, *args, **kwargs):
+            windows.append(shape)
+            return full(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "full", counted)
+        masks = [mask_main_lobe(pattern, peak).mask for pattern, peak in scored]
+        monkeypatch.undo()
+        assert len(windows) == len(scored)
+        for (pattern, peak), mask in zip(scored, masks):
+            assert np.array_equal(mask, reference_main_lobe(pattern.magnitude, peak.iv, peak.iu))
 
 
 @st.composite
@@ -629,8 +667,8 @@ class TestEvaluateLayout:
 
     def test_a_one_off_score_keeps_no_phasor_table(self):
         # The README's 12x16 layout at q=4, a 284x516 lattice. After the call, the
-        # pattern's values (2.34 MB), its magnitude (1.17 MB) and the FOV mask are
-        # held; the call's phasor tables (1.39 MB) are not. A small call first
+        # pattern's two factors (0.76 MB), its magnitude (1.17 MB) and the FOV mask
+        # are held; the call's phasor tables (1.39 MB) are not. A small call first
         # imports what the first call of a process imports.
         layout = layout_12x16(0)
         evaluate_layout(ula_layout(8), q_phi=4, q_theta=4)

@@ -34,7 +34,7 @@ from saf import beamforming
 from saf._stream import Stream
 from saf.beamforming import UVBand, UVGrid
 from saf.optimizer import _free_node_near, _initial_layout, _line_positions, _shuffle_axis
-from conftest import escaping_lobe, reference_pslr
+from conftest import escaping_lobe, readme_design_spec, reference_pslr
 
 
 def linear_spec(**overrides) -> DesignSpec:
@@ -282,13 +282,7 @@ class TestProposeCandidate:
         # 300 proposals, each from the one before, on the README's 12 x 16 design config
         # with its zone and enforced TX. The digest pins every draw and every accept or
         # reject; it holds Python ints and bools only, so it does not depend on numpy.
-        spec = DesignSpec(
-            dimensionality="2D", n_tx=12, n_rx=16,
-            target_ufov_az=90.0, target_hpbw_az=0.793, target_ufov_el=30.0, target_hpbw_el=0.725,
-            tx_size=ElementSize(2.0, 5.0), rx_size=ElementSize(2.0, 5.0),
-            zones=(ForbiddenZone(7.5, 15.0, center=(30, 30), kind="both-excluded"),),
-            enforced_tx=((0, 0),), intensity=3,
-        )
+        spec = readme_design_spec()
         grid, _ = derive_grid(spec)
         current, rng = _initial_layout(spec, grid), Stream(1)
         digest = hashlib.sha256()

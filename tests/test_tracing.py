@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -40,3 +41,15 @@ def test_mask_main_lobe_returns_a_boolean_mask_of_the_pattern_shape():
     mask = mask_main_lobe(pattern, peak).mask
     assert mask.dtype == np.bool_ and mask.shape == pattern.magnitude.shape
     assert np.array_equal(mask, reference_main_lobe(pattern.magnitude, peak.iv, peak.iu))
+
+
+def test_the_beamform_observer_counts_a_real_pattern():
+    layout = layout_12x16(0)
+    vrx = build_virtual_array(layout)
+    pattern = beamform(vrx, synthesize_snapshot(vrx, BROADSIDE), scoring_grid(layout.grid, 2, 2))
+    counts = defaultdict(float)
+    load_tracing()._observe_beamform(counts, (vrx,), {}, pattern)
+    p = vrx.unique_count
+    n_v, n_u = pattern.grid.shape
+    assert counts == {"beamforming.beamform.phasor_exps": p * (n_u + n_v),
+                      "beamforming.beamform.matmul_flops": 8 * p * n_u * n_v}
