@@ -275,7 +275,15 @@ def steering_vector(vrx: VirtualArray, u: float, v: float) -> np.ndarray:
 
 
 def synthesize_snapshot(vrx: VirtualArray, targets: Sequence[Target]) -> np.ndarray:
-    """Received snapshot: amplitude-weighted sum of target steering vectors."""
+    """Received snapshot: amplitude-weighted sum of target steering vectors.
+
+    Raises ValueError when the targets' summed |amplitude| times the VRX count
+    is not a finite float: that sum bounds every snapshot and pattern value.
+    """
+    total = sum(abs(t.amplitude) for t in targets)
+    if not math.isfinite(total * vrx.unique_count):
+        raise ValueError(f"target amplitudes: their summed magnitude {total:g} times {vrx.unique_count} VRX "
+                         f"is not a finite float, so the pattern would overflow")
     snapshot = np.zeros(vrx.unique_count, dtype=complex)
     for t in targets:
         snapshot += t.amplitude * steering_vector(vrx, t.u, t.v)

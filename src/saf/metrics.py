@@ -6,14 +6,11 @@ neighbor already in the region has magnitude at least as large. The closure is
 a fixpoint, so the result does not depend on traversal order: ``mask_main_lobe``
 finds it by a depth-first walk from the peak.
 
-Two shortcuts keep the PSLR exact. ``mask_main_lobe`` walks a window around
-the peak and doubles it while the lobe reaches an edge of the window that is
-not an edge of the grid. ``pslr`` on a ``UVBand`` (the FOV rows of a lattice,
-as the optimizer scores) raises ``LobeLeavesBand`` when the lobe reaches the
-band's first or last row. Both rest on one fact: any node of the closure is
-reached by a descending path from the peak, and a path that leaves a region
-crosses its boundary first. A lobe that touches no open edge of the region
-therefore lies inside it, and the region's closure is the whole closure.
+One shortcut keeps the PSLR exact. ``pslr`` on a ``UVBand`` (the FOV rows of
+a lattice, as the optimizer scores) raises ``LobeLeavesBand`` when the lobe
+reaches the band's first or last row: any node of the closure is reached by a
+descending path from the peak, and a path that leaves the band crosses one of
+those rows first, so a lobe that touches neither is the whole lattice's lobe.
 
 ``pslr`` refuses a degenerate FOV, whose magnitudes all lie within 1e-12 of
 the peak, but scans the whole FOV for its minimum only when the largest
@@ -55,12 +52,6 @@ _EPS = 1e-12
 # (1032 x 568). At that size one complex pattern is 256 MiB, and the lattice,
 # not the array, would set the memory a score needs.
 MAX_LATTICE_NODES = 2 ** 24
-
-# Half-width of the first window the main-lobe walk runs in, in nodes per unit
-# of q_phi. Of 200 seeded proposals on the README 12x16 config, the widest
-# main lobe reached 13 nodes from its peak at q = 4 and 29 at q = 8, so every
-# one fit the first window; a fixed 8 nodes held 53 at q = 4 and none at q = 8.
-_LOBE_WINDOW_PER_Q = 4
 
 
 class LobeLeavesBand(Exception):
@@ -159,57 +150,46 @@ def find_peak(pattern: Pattern) -> Peak:
 def mask_main_lobe(pattern: Pattern, peak: Peak) -> MainLobeMask:
     """Monotone-descent closure of the main lobe from the peak node, by a depth-first walk.
 
-    The walk runs in a window of ``_LOBE_WINDOW_PER_Q`` times q_phi nodes
-    around the peak, with q_phi read off the lattice as n_u over the virtual
-    grid's M. It doubles the window while the lobe reaches one of its edges
-    that is not an edge of the grid (see the module docstring for why that is
-    exact).
+    The walk reads ``pattern.magnitude`` in place, a Python float per node
+    through a ``memoryview`` (faster than a numpy scalar; ``tolist()`` would
+    hold a float object per node), and marks the nodes it reaches in the mask
+    itself. Each step tests its own lattice edge, so none wraps into the next row.
     """
     mag = pattern.magnitude
-    n_v, n_u = mag.shape
-    radius = _LOBE_WINDOW_PER_Q * max(1, n_u // pattern.vrx.grid.M)
-    while True:
-        v0, v1 = max(peak.iv - radius, 0), min(peak.iv + radius + 1, n_v)
-        u0, u1 = max(peak.iu - radius, 0), min(peak.iu + radius + 1, n_u)
-        # The window inside a border of NaN, which no comparison admits, so the
-        # walk needs no bounds test. A memoryview reads each node as a Python
-        # float, faster than a numpy scalar; a list from tolist() would hold a
-        # float object per node, and count in the peak RSS.
-        stride = u1 - u0 + 2
-        framed = np.full((v1 - v0 + 2, stride), np.nan)
-        framed[1:-1, 1:-1] = mag[v0:v1, u0:u1]
-        level = memoryview(framed.ravel())
-        inside = bytearray(len(level))
-        start = (peak.iv - v0 + 1) * stride + peak.iu - u0 + 1
-        inside[start] = 1
-        stack = [start]
-        pop, push = stack.pop, stack.append
-        while stack:  # the four neighbours unrolled: a loop over them costs 1.5 times as much
-            node = pop()
-            top = level[node]
-            near = node - stride
+    n_u = mag.shape[1]
+    # np.zeros keeps the pages the walk never writes out of the RSS; a bytearray zero-fills every byte.
+    mask = np.zeros(mag.shape, dtype=bool)
+    level, inside = memoryview(mag.ravel()), memoryview(mask.ravel()).cast("B")
+    last_row, last_column = mag.size - n_u, n_u - 1
+    start = peak.iv * n_u + peak.iu
+    inside[start] = 1
+    stack = [start]
+    pop, push = stack.pop, stack.append
+    while stack:  # the four neighbours unrolled: a loop over them costs 1.5 times as much
+        node = pop()
+        top = level[node]
+        if node >= n_u:
+            near = node - n_u
             if level[near] <= top and not inside[near]:
                 inside[near] = 1
                 push(near)
-            near = node + stride
+        if node < last_row:
+            near = node + n_u
             if level[near] <= top and not inside[near]:
                 inside[near] = 1
                 push(near)
+        column = node % n_u
+        if column:
             near = node - 1
             if level[near] <= top and not inside[near]:
                 inside[near] = 1
                 push(near)
+        if column != last_column:
             near = node + 1
             if level[near] <= top and not inside[near]:
                 inside[near] = 1
                 push(near)
-        lobe = np.frombuffer(inside, dtype=bool).reshape(framed.shape)[1:-1, 1:-1]
-        if not ((v0 > 0 and lobe[0].any()) or (v1 < n_v and lobe[-1].any())
-                or (u0 > 0 and lobe[:, 0].any()) or (u1 < n_u and lobe[:, -1].any())):
-            mask = np.zeros(mag.shape, dtype=bool)
-            mask[v0:v1, u0:u1] = lobe
-            return MainLobeMask(mask=mask)
-        radius *= 2
+    return MainLobeMask(mask=mask)
 
 
 def pslr(pattern: Pattern, peak: Optional[Peak] = None) -> float:

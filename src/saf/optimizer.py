@@ -148,19 +148,24 @@ class OptimizerTrace:
         return self.records[-1].best_pslr_db if self.records else self.initial_pslr_db
 
 
-def _axis_spacing(target_ufov_deg: float) -> float:
+def _axis_spacing(target_ufov_deg: float, field: str) -> float:
     if not 0.0 < target_ufov_deg <= 90.0:
-        raise ValueError(f"target uFOV must be in (0, 90] degrees, got {target_ufov_deg}")
+        raise ValueError(f"{field}: target uFOV must be in (0, 90] degrees, got {target_ufov_deg}")
     # Rounding keeps common targets (90 -> 0.5, 30 -> 1.0) free of float noise.
-    return round(1.0 / (2.0 * math.sin(math.radians(target_ufov_deg))), 12)
+    spacing = round(1.0 / (2.0 * math.sin(math.radians(target_ufov_deg))), 12)
+    if not math.isfinite(spacing):
+        raise ValueError(f"{field}: target uFOV {target_ufov_deg} deg implies a grid spacing that is not finite")
+    return spacing
 
 
-def _axis_virtual_length(target_hpbw_deg: float) -> float:
+def _axis_virtual_length(target_hpbw_deg: float, field: str) -> float:
     if target_hpbw_deg <= 0:
-        raise ValueError(f"target HPBW must be positive, got {target_hpbw_deg}")
+        raise ValueError(f"{field}: target HPBW must be positive, got {target_hpbw_deg}")
     length = 0.886 / math.radians(target_hpbw_deg)
     if length < 1.0:
-        raise ValueError(f"target HPBW {target_hpbw_deg} deg implies an aperture below one wavelength")
+        raise ValueError(f"{field}: target HPBW {target_hpbw_deg} deg implies an aperture below one wavelength")
+    if not math.isfinite(length):
+        raise ValueError(f"{field}: target HPBW {target_hpbw_deg} deg implies an aperture that is not finite")
     return length
 
 
@@ -171,13 +176,13 @@ def derive_grid(spec: DesignSpec) -> tuple[GridSpec, tuple[float, float]]:
     a 90 degree uFOV) and the virtual aperture length inverts the half-power
     beamwidth relation; the physical aperture is half the virtual one.
     """
-    d_y = _axis_spacing(spec.target_ufov_az)
-    L_y = _axis_virtual_length(spec.target_hpbw_az)
+    d_y = _axis_spacing(spec.target_ufov_az, "target_ufov_az")
+    L_y = _axis_virtual_length(spec.target_hpbw_az, "target_hpbw_az")
     M = int(math.floor(L_y / 2.0 / d_y)) + 1
     if spec.dimensionality == "1D":
         return GridSpec(d_y, 0.5, M, 1), (L_y, 0.0)
-    d_z = _axis_spacing(spec.target_ufov_el)
-    L_z = _axis_virtual_length(spec.target_hpbw_el)
+    d_z = _axis_spacing(spec.target_ufov_el, "target_ufov_el")
+    L_z = _axis_virtual_length(spec.target_hpbw_el, "target_hpbw_el")
     N = int(math.floor(L_z / 2.0 / d_z)) + 1
     return GridSpec(d_y, d_z, M, N), (L_y, L_z)
 
@@ -527,11 +532,12 @@ def optimize(spec: DesignSpec) -> tuple[ArrayLayout, OptimizerTrace]:
     return best, trace
 
 
-def _run_point(sub: DesignSpec) -> Optional[tuple[ArrayLayout, OptimizerTrace]]:
+def _run_point(sub: DesignSpec) -> tuple[ArrayLayout, OptimizerTrace] | str:
+    """``optimize(sub)``, or why ``sub`` is infeasible: a string, so a worker process returns it as it is."""
     try:
         return optimize(sub)
-    except InfeasibleSpecError:
-        return None
+    except InfeasibleSpecError as exc:
+        return str(exc)
 
 
 def outer_loop(
@@ -541,8 +547,8 @@ def outer_loop(
 
     Each point is a dict of DesignSpec field overrides; point i runs with
     sub-seed ``spec.seed ^ i``, so results are reproducible regardless of
-    worker scheduling. Infeasible points are skipped. Ties keep the smallest
-    point index.
+    worker scheduling. Infeasible points are skipped; when every point is,
+    the error gives each point's reason. Ties keep the smallest point index.
     """
     if not hyper_points:
         raise ValueError("hyperparameter grid is empty")
@@ -557,8 +563,9 @@ def outer_loop(
             results = list(pool.map(_run_point, subs))
     else:
         results = [_run_point(sub) for sub in subs]
-    feasible = [(sub, *result) for sub, result in zip(subs, results) if result is not None]
+    feasible = [(sub, *result) for sub, result in zip(subs, results) if not isinstance(result, str)]
     if not feasible:
-        raise InfeasibleSpecError("every hyperparameter point was infeasible")
+        reasons = "; ".join(f"point {i}: {reason}" for i, reason in enumerate(results))
+        raise InfeasibleSpecError(f"every hyperparameter point was infeasible: {reasons}")
     # max keeps the first of equal maxima: ties go to the smallest point index.
     return max(feasible, key=lambda run: run[2].final_pslr_db)

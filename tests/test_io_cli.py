@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -597,6 +598,16 @@ def _saf_log(tmp_path, monkeypatch):
         pytest.param(lambda t, m: _evaluate(t, _planar(1e9)), 2, "d_y", id="layout-grid-spacing-1e9"),
         pytest.param(lambda t, m: _design(t, target_ufov_az=10.0), 2, "d_y",
                      id="design-lobe-below-two-samples"),
+        # A subnormal target angle used to overflow: a traceback and exit 1 for the HPBW,
+        # and "grid extent must be finite, got (nan, ...)" for the uFOV.
+        pytest.param(lambda t, m: _design(t, target_hpbw_az=1e-320), 2, "target_hpbw_az",
+                     id="design-hpbw-target-overflows"),
+        pytest.param(lambda t, m: _design(t, target_ufov_az=1e-320), 2, "target_ufov_az",
+                     id="design-ufov-target-overflows"),
+        # A target this bright used to exit 0 with a NaN PSLR, after a RuntimeWarning.
+        pytest.param(lambda t, m: _evaluate(t, layout_to_dict(ula_layout(8)))
+                     + ["--grid-oversample", "2", "--target=0,0,1e308,1e308"], 2, "target amplitudes",
+                     id="evaluate-target-overflows"),
         # The pattern writer opens its file itself: a failed open is still an I/O error.
         pytest.param(lambda t, m: _pattern_csv_taken(t, _evaluate(t, layout_to_dict(ula_layout(8)))),
                      1, "pattern.csv", id="evaluate-pattern-csv-is-a-directory"),
@@ -614,7 +625,12 @@ def test_exit_code_contract(argv, code, field, tmp_path, monkeypatch, capsys):
     argv = argv(tmp_path, monkeypatch)
     before = _contents(tmp_path / "o")
     try:
-        assert main(argv) == code
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == code
+        # A warning the command shows is a line of its own on standard error; Python hides deprecations.
+        shown = [str(w.message) for w in caught if not issubclass(w.category, DeprecationWarning)]
+        assert not shown, shown
     except SystemExit as exited:
         # Refused by the argument parser: its usage, then one error line.
         assert exited.code == code

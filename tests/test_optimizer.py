@@ -95,6 +95,13 @@ class TestDeriveGrid:
         with pytest.raises(ValueError):
             derive_grid(linear_spec(target_hpbw_az=80.0))
 
+    @pytest.mark.parametrize("field", ["target_ufov_az", "target_hpbw_az", "target_ufov_el", "target_hpbw_el"])
+    def test_a_target_whose_grid_is_not_finite_names_its_field(self, field):
+        # 1e-320 degrees is a subnormal angle: its spacing or aperture overflows to infinity.
+        spec = linear_spec(**{"dimensionality": "2D", "target_hpbw_el": 1.0, field: 1e-320})
+        with pytest.raises(ValueError, match=rf"^{field}: .* is not finite$"):
+            derive_grid(spec)
+
 
 class TestHiaInit:
     def test_first_worked_example(self):
@@ -516,7 +523,11 @@ class TestOuterLoop:
         assert (layout, trace) == optimize(dataclasses.replace(spec, seed=spec.seed ^ 1))
 
     def test_all_points_infeasible(self):
-        with pytest.raises(InfeasibleSpecError):
+        # Each point's reason is named, as a single run names it.
+        with pytest.raises(InfeasibleSpecError, match=(
+                r"^every hyperparameter point was infeasible: "
+                r"point 0: 80 elements do not fit the aperture under the size constraints; "
+                r"point 1: 90 elements do not fit the aperture under the size constraints$")):
             outer_loop(linear_spec(), [{"n_tx": 80}, {"n_rx": 90}])
 
     def test_parallel_matches_serial(self):
